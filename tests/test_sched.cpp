@@ -784,6 +784,8 @@ TEST(ScenarioService, RunsRuptureScenarioToFaultHistoryProduct) {
   EXPECT_FALSE(history->bytes.empty());
   const auto decoded = deserializeFaultHistory(history->bytes);
   EXPECT_GT(decoded.dt, 0.0);
+  // Golden pin of the product bytes.
+  EXPECT_EQ(history->md5Hex, "e6f7da01f602d1df68171fea85c56275");
 
   const auto report = service.report();
   ASSERT_EQ(report.jobs.size(), 1u);
