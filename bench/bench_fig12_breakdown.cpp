@@ -14,6 +14,7 @@
 #include "core/solver.hpp"
 #include "perfmodel/machine.hpp"
 #include "perfmodel/model.hpp"
+#include "telemetry/report.hpp"
 #include "util/table.hpp"
 #include "vcluster/cluster.hpp"
 
@@ -49,29 +50,37 @@ int main() {
     std::cout << "\n";
   }
 
-  // Measured phase fractions from a real mini-run on 8 virtual ranks.
+  // Measured phase fractions from a real mini-run on 8 virtual ranks: the
+  // telemetry report's spans, folded into the Eq. (7) buckets.
   std::cout << "Measured mini-run (real solver, 64x32x32, 8 ranks):\n";
-  PhaseTimer phases;
-  vcluster::ThreadCluster::run(8, [&](vcluster::Communicator& comm) {
-    vcluster::CartTopology topo(vcluster::Dims3{2, 2, 2});
-    core::SolverConfig config;
-    config.globalDims = {64, 32, 32};
-    config.h = 200.0;
-    core::WaveSolver solver(comm, topo, config,
-                            vmodel::Material{5000.0f, 2900.0f, 2700.0f});
-    solver.addSource(core::explosionPointSource(
-        32, 16, 16,
-        core::rickerWavelet(4.0, 0.4, solver.config().dt, 60, 1e15)));
-    solver.run(60);
-    if (comm.rank() == 0) phases = solver.phases();
-  });
-  const double total = phases.total();
+  telemetry::Session session(telemetry::SessionConfig{/*nranks=*/8});
+  telemetry::ClusterReport report;
+  {
+    telemetry::ScopedSession installed(session);
+    vcluster::ThreadCluster::run(8, [&](vcluster::Communicator& comm) {
+      vcluster::CartTopology topo(vcluster::Dims3{2, 2, 2});
+      core::SolverConfig config;
+      config.globalDims = {64, 32, 32};
+      config.h = 200.0;
+      core::WaveSolver solver(comm, topo, config,
+                              vmodel::Material{5000.0f, 2900.0f, 2700.0f});
+      solver.addSource(core::explosionPointSource(
+          32, 16, 16,
+          core::rickerWavelet(4.0, 0.4, solver.config().dt, 60, 1e15)));
+      solver.run(60);
+      if (comm.rank() == 0) report = solver.lastTelemetryReport();
+    });
+  }
+  const auto buckets = telemetry::eq7Breakdown(report);
+  double total = 0.0;
+  for (double s : buckets) total += s;
   TextTable measured({"Phase", "Seconds", "Share"});
-  for (auto p : {Phase::Compute, Phase::Communicate, Phase::Synchronize,
-                 Phase::Output}) {
-    measured.addRow({std::string(kPhaseNames[static_cast<std::size_t>(p)]),
-                     TextTable::num(phases.get(p), 3),
-                     TextTable::pct(phases.get(p) / total, 1)});
+  for (auto b : {telemetry::Eq7Bucket::Compute, telemetry::Eq7Bucket::Comm,
+                 telemetry::Eq7Bucket::Sync, telemetry::Eq7Bucket::Output}) {
+    const auto i = static_cast<std::size_t>(b);
+    measured.addRow({std::string(telemetry::kEq7BucketNames[i]),
+                     TextTable::num(buckets[i], 3),
+                     TextTable::pct(buckets[i] / total, 1)});
   }
   measured.print(std::cout);
   std::cout << "\nPaper anchors: I/O between 0.6% and 2% of total; v7.2 "

@@ -11,6 +11,7 @@
 #include "io/contention.hpp"
 #include "mesh/generator.hpp"
 #include "mesh/partitioner.hpp"
+#include "telemetry/report.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "vcluster/cluster.hpp"
@@ -29,6 +30,8 @@ struct IoRun {
 
 IoRun runWithAggregation(const std::string& file, int flushEvery) {
   IoRun out;
+  telemetry::Session session(telemetry::SessionConfig{/*nranks=*/4});
+  telemetry::ScopedSession installed(session);
   Stopwatch wall;
   vcluster::ThreadCluster::run(4, [&](vcluster::Communicator& comm) {
     vcluster::CartTopology topo(vcluster::Dims3{2, 2, 1});
@@ -49,8 +52,12 @@ IoRun runWithAggregation(const std::string& file, int flushEvery) {
         core::rickerWavelet(2.0, 0.5, solver.config().dt, 100, 1e15)));
     solver.run(100);
     if (comm.rank() == 0) {
-      out.outputSeconds = solver.phases().get(Phase::Output);
-      out.totalSeconds = solver.phases().total();
+      // The output share from the telemetry report's Eq. (7) buckets.
+      const auto buckets =
+          telemetry::eq7Breakdown(solver.lastTelemetryReport());
+      out.outputSeconds =
+          buckets[static_cast<std::size_t>(telemetry::Eq7Bucket::Output)];
+      for (double s : buckets) out.totalSeconds += s;
     }
   });
   out.wall = wall.seconds();

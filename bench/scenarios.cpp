@@ -4,6 +4,7 @@
 
 #include "mesh/generator.hpp"
 #include "mesh/partitioner.hpp"
+#include "sched/spec.hpp"
 #include "util/timer.hpp"
 #include "vcluster/cluster.hpp"
 
@@ -87,7 +88,6 @@ ScenarioResult runWaveScenario(const MiniDomain& domain,
       result.traces = std::move(traces);
       result.dt = solver.config().dt;
       result.steps = solver.currentStep();
-      result.phases = solver.phases();
     }
   });
   result.wallSeconds = wall.seconds();
@@ -115,36 +115,16 @@ rupture::FaultHistory runMiniRupture(double lengthKm, double depthKm,
                                      double hRupture, std::uint64_t seed,
                                      std::size_t steps, int nranks,
                                      double nucAlongStrikeFraction) {
-  rupture::RuptureConfig config;
-  const auto nx = static_cast<std::size_t>(lengthKm * 1000.0 / hRupture);
-  const auto nzFault = static_cast<std::size_t>(depthKm * 1000.0 / hRupture);
-  // Volume: fault plus absorbing margins on every side.
-  const std::size_t margin = 14;
-  config.globalDims = {nx + 2 * margin, 2 * margin + 2, nzFault + margin};
-  config.h = hRupture;
-  config.faultJ = margin;
-  config.fi0 = margin;
-  config.fi1 = margin + nx;
-  // The fault reaches from depth `depthKm` up to one row below the free
-  // surface.
-  config.fk1 = config.globalDims.nz - 1;
-  config.fk0 = config.fk1 - nzFault;
-  config.spongeWidth = 10;
-  // Keep the slip-weakening cohesive zone Λ = μ dc / (τs - τd) resolved at
-  // the mini grid's spacing (the paper's 0.3 m at h = 100 m gives
-  // Λ ≈ 6-7 h; scale dc ∝ h to preserve that). Under-resolving Λ drives
-  // spurious super-shear transitions everywhere.
-  config.friction.dc = 1.5e-3 * hRupture;
-  config.friction.dcSurface = 3.0 * config.friction.dc;
-  config.stress.seed = seed;
-  config.stress.corrX = 0.1 * lengthKm * 1000.0;  // scaled 50 km / 545 km
-  config.stress.corrZ = 0.3 * depthKm * 1000.0;
-  config.stress.nucX = nucAlongStrikeFraction * lengthKm * 1000.0;
-  config.stress.nucZ = 0.6 * depthKm * 1000.0;
-  config.stress.nucRadius = std::max(8.0 * hRupture, 4000.0);
-  config.stress.nucExcess = 0.15;
-  config.timeDecimation = 2;
-  config.slipRateThreshold = 0.01;
+  // The scenario service's mapping: fault plus absorbing margins on every
+  // side, dc scaled with h, the seeded stress model.
+  sched::ScenarioSpec spec;
+  spec.kind = sched::ScenarioKind::Rupture;
+  spec.h = hRupture;
+  spec.lengthKm = lengthKm;
+  spec.depthKm = depthKm;
+  spec.seed = seed;
+  spec.nucFraction = nucAlongStrikeFraction;
+  const rupture::RuptureConfig config = spec.ruptureConfig();
 
   rupture::FaultHistory out;
   vcluster::ThreadCluster::run(nranks, [&](vcluster::Communicator& comm) {

@@ -40,7 +40,6 @@ struct ScenarioResult {
   double dt = 0.0;
   std::size_t steps = 0;
   double wallSeconds = 0.0;
-  PhaseTimer phases;  // aggregated over ranks? (rank 0's timer)
   std::size_t gridPoints = 0;
 };
 

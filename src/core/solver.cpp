@@ -11,6 +11,7 @@
 #include "telemetry/chrome_trace.hpp"
 #include "util/error.hpp"
 #include "util/hot.hpp"
+#include "util/timer.hpp"
 
 namespace awp::core {
 
@@ -163,51 +164,25 @@ AWP_HOT void WaveSolver::velocityPhase() {
   if (config_.overlap) {
     // §IV.C: "While the value of v is computed, the exchange of u can be
     // performed simultaneously" — per-component interleaving.
-    {
-      ScopedPhase t(phases_, Phase::Compute);
-      updateVelocity(*grid_, VelocityComponent::U, config_.kernels, r);
+    updateVelocity(*grid_, VelocityComponent::U, config_.kernels, r);
+    halo_->exchangeFields(*grid_, {grid::FieldId::U});
+    updateVelocity(*grid_, VelocityComponent::V, config_.kernels, r);
+    halo_->exchangeFields(*grid_, {grid::FieldId::V});
+    updateVelocity(*grid_, VelocityComponent::W, config_.kernels, r);
+    if (pml_) {
+      telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
+      pml_->updateVelocity(*grid_);
     }
-    {
-      ScopedPhase t(phases_, Phase::Communicate);
-      halo_->exchangeFields(*grid_, {grid::FieldId::U});
-    }
-    {
-      ScopedPhase t(phases_, Phase::Compute);
-      updateVelocity(*grid_, VelocityComponent::V, config_.kernels, r);
-    }
-    {
-      ScopedPhase t(phases_, Phase::Communicate);
-      halo_->exchangeFields(*grid_, {grid::FieldId::V});
-    }
-    {
-      ScopedPhase t(phases_, Phase::Compute);
-      updateVelocity(*grid_, VelocityComponent::W, config_.kernels, r);
-      if (pml_) {
-        telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
-        pml_->updateVelocity(*grid_);
-      }
-    }
-    {
-      ScopedPhase t(phases_, Phase::Communicate);
-      halo_->exchangeFields(*grid_, {grid::FieldId::W});
-      if (pml_) {
-        // PML rewrote u/v/w in the zones after their exchanges; refresh.
-        halo_->exchangeVelocities(*grid_);
-      }
-    }
+    halo_->exchangeFields(*grid_, {grid::FieldId::W});
+    // PML rewrote u/v/w in the zones after their exchanges; refresh.
+    if (pml_) halo_->exchangeVelocities(*grid_);
   } else {
-    {
-      ScopedPhase t(phases_, Phase::Compute);
-      updateVelocity(*grid_, config_.kernels);
-      if (pml_) {
-        telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
-        pml_->updateVelocity(*grid_);
-      }
+    updateVelocity(*grid_, config_.kernels);
+    if (pml_) {
+      telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
+      pml_->updateVelocity(*grid_);
     }
-    {
-      ScopedPhase t(phases_, Phase::Communicate);
-      halo_->exchangeVelocities(*grid_);
-    }
+    halo_->exchangeVelocities(*grid_);
   }
   freeSurface_->applyVelocityImages(*grid_);
 }
@@ -215,25 +190,19 @@ AWP_HOT void WaveSolver::velocityPhase() {
 AWP_HOT void WaveSolver::stressPhase() {
   telemetry::ScopedSpan span(telemetry::Phase::StressKernel);
   const Region r = Region::interior(*grid_);
-  {
-    ScopedPhase t(phases_, Phase::Compute);
-    updateStress(*grid_, StressGroup::Normal, config_.kernels, r);
-    updateStress(*grid_, StressGroup::XY, config_.kernels, r);
-    updateStress(*grid_, StressGroup::XZ, config_.kernels, r);
-    updateStress(*grid_, StressGroup::YZ, config_.kernels, r);
-    if (pml_) {
-      telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
-      pml_->updateStress(*grid_);
-    }
-    sources_.inject(*grid_, step_);
+  updateStress(*grid_, StressGroup::Normal, config_.kernels, r);
+  updateStress(*grid_, StressGroup::XY, config_.kernels, r);
+  updateStress(*grid_, StressGroup::XZ, config_.kernels, r);
+  updateStress(*grid_, StressGroup::YZ, config_.kernels, r);
+  if (pml_) {
+    telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
+    pml_->updateStress(*grid_);
   }
+  sources_.inject(*grid_, step_);
+  if (fault_) fault_->afterStress(*grid_);
   freeSurface_->applyStressImages(*grid_);
-  {
-    ScopedPhase t(phases_, Phase::Communicate);
-    halo_->exchangeStresses(*grid_);
-  }
+  halo_->exchangeStresses(*grid_);
   if (sponge_) {
-    ScopedPhase t(phases_, Phase::Compute);
     telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
     sponge_->apply(*grid_);
   }
@@ -252,7 +221,6 @@ AWP_HOT void WaveSolver::observationPhase() {
       step_ % static_cast<std::size_t>(surfaceOutput_->sampleEverySteps) ==
           0 &&
       geom_.touchesTop()) {
-    ScopedPhase t(phases_, Phase::Output);
     telemetry::ScopedSpan span(telemetry::Phase::Output);
     const auto dec =
         static_cast<std::size_t>(surfaceOutput_->spatialDecimation);
@@ -305,11 +273,9 @@ AWP_HOT void WaveSolver::observationPhase() {
 }
 
 void WaveSolver::persistState(bool toDisk, bool toBuddy) {
-  const auto state = grid_->saveState();
-  if (toDisk) {
-    ScopedPhase t(phases_, Phase::Output);
-    checkpoints_->write(comm_.rank(), step_, state);
-  }
+  auto state = grid_->saveState();
+  if (fault_) fault_->saveState(state);
+  if (toDisk) checkpoints_->write(comm_.rank(), step_, state);
   if (!toBuddy) return;
   buddies_->storeSelf(comm_.rank(), step_, state);
   if (comm_.size() == 1) return;  // no partner: the self blob suffices
@@ -380,12 +346,9 @@ AWP_HOT void WaveSolver::step() {
   // exchange), so the watchdog can name the origin of a stall.
   if (guard_) guard_->beat(comm_.rank(), step_);
   velocityPhase();
+  if (fault_) fault_->afterVelocity(*grid_, step_);
   stressPhase();
   observationPhase();
-  if (config_.barrierPerStep) {
-    ScopedPhase t(phases_, Phase::Synchronize);
-    comm_.barrier();
-  }
   ++step_;
 }
 
@@ -555,7 +518,7 @@ void WaveSolver::restart() {
   bool restoredFromBuddy = false;
   if (buddies_ != nullptr) {
     if (const auto blob = buddies_->restore(comm_.rank(), agreedStep)) {
-      grid_->restoreState(*blob);
+      restoreState(*blob);
       restoredFromBuddy = true;
       telemetry::count(telemetry::Counter::BuddyRestores, 1);
     }
@@ -565,7 +528,7 @@ void WaveSolver::restart() {
                   "restart: agreed step not in the buddy store and no disk "
                   "store attached");
     const auto restored = checkpoints_->readStep(comm_.rank(), agreedStep);
-    grid_->restoreState(restored.state);
+    restoreState(restored.state);
   }
   step_ = agreedStep + 1;
   if (surfaceWriter_ && surfaceOutput_) {
@@ -577,6 +540,14 @@ void WaveSolver::restart() {
     surfaceWriter_->resumeFrom((step_ + every - 1) / every);
   }
   comm_.barrier();
+}
+
+void WaveSolver::restoreState(std::span<const std::byte> blob) {
+  // The grid checks its share's exact size; the fault owns the tail.
+  const std::size_t gridBytes =
+      fault_ ? std::min(grid_->stateBytes(), blob.size()) : blob.size();
+  grid_->restoreState(blob.first(gridBytes));
+  if (fault_) fault_->restoreState(blob.subspan(gridBytes));
 }
 
 double WaveSolver::flopsExecuted() const {

@@ -2,10 +2,13 @@
 // AWM: the anelastic wave propagation solver — AWP-ODC's "wave mode"
 // (Fig 6). One instance per rank; the time loop performs
 //   velocity update -> velocity exchange -> free-surface velocity images ->
-//   stress update -> source injection -> free-surface stress images ->
+//   [fault: slip rates] -> stress update -> source injection ->
+//   [fault: traction bounding] -> free-surface stress images ->
 //   stress exchange -> sponge -> observation / output / checkpoint
-// with each phase timed into the Eq. (7) buckets (compute, comm, sync,
-// output).
+// with each phase recorded as a telemetry span (telemetry/taxonomy.hpp maps
+// the spans onto the Eq. (7) buckets). The bracketed steps run only when a
+// FaultPlugin is attached: dynamic rupture ("SGSN mode") is this same loop
+// with the fault as an interior boundary condition.
 //
 // Configuration covers every §IV optimization so that benches can toggle
 // them independently: kernel variants, sync/async exchange, reduced
@@ -13,9 +16,12 @@
 // (overlap), sponge vs M-PML absorbing boundaries, aggregated surface
 // output and checkpoint cadence.
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/free_surface.hpp"
 #include "core/geometry.hpp"
@@ -32,7 +38,6 @@
 #include "io/checkpoint.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/report.hpp"
-#include "util/timer.hpp"
 #include "vcluster/cart.hpp"
 #include "vcluster/comm.hpp"
 
@@ -68,7 +73,6 @@ struct SolverConfig {
       grid::HaloExchanger::Mode::Asynchronous;
   bool reducedComm = true;
   bool overlap = false;  // per-component interleaving (§IV.C)
-  bool barrierPerStep = false;  // the v6.0-era extra global barrier
   // §IV.D hybrid MPI/OpenMP analogue: intra-rank threads sharing this
   // rank's subgrid (1 = pure message passing).
   int hybridThreads = 1;
@@ -97,6 +101,22 @@ struct SurfaceOutputConfig {
   io::FlushObserver flushObserver;
 };
 
+// An interior boundary condition stepped inside the time loop: the
+// dynamic-rupture fault (src/rupture). Its state is appended to the rank's
+// checkpoint blob, so disk, buddy, rollback and respawn restores carry it.
+class FaultPlugin {
+ public:
+  virtual ~FaultPlugin() = default;
+  // After the free-surface velocity images: slip-rate bookkeeping.
+  virtual void afterVelocity(const grid::StaggeredGrid& g,
+                             std::size_t step) = 0;
+  // After source injection, before the stress images: traction bounding.
+  virtual void afterStress(grid::StaggeredGrid& g) = 0;
+  // Append this rank's state to `blob` / restore it from the blob's tail.
+  virtual void saveState(std::vector<std::byte>& blob) const = 0;
+  virtual void restoreState(std::span<const std::byte> state) = 0;
+};
+
 class WaveSolver {
  public:
   // Collective: build the solver on every rank. The mesh block must match
@@ -118,6 +138,8 @@ class WaveSolver {
   // over the on-disk store. Collective once attached: every rank must
   // attach with the same cadence.
   void attachBuddies(io::BuddyStore* store, int everySteps);
+  // Non-owning; attach before the first step or restart().
+  void attachFault(FaultPlugin* fault) { fault_ = fault; }
 
   void step();
   void run(std::size_t nSteps,
@@ -137,14 +159,9 @@ class WaveSolver {
   [[nodiscard]] grid::StaggeredGrid& grid() { return *grid_; }
   [[nodiscard]] const DomainGeometry& geometry() const { return geom_; }
   [[nodiscard]] const SolverConfig& config() const { return config_; }
-  [[nodiscard]] PhaseTimer& phases() { return phases_; }
-  [[nodiscard]] grid::HaloExchanger& exchanger() { return *halo_; }
   [[nodiscard]] SurfaceMonitor& surface() { return *surface_; }
   [[nodiscard]] ReceiverSet& receivers() { return receivers_; }
   [[nodiscard]] vcluster::Communicator& comm() { return comm_; }
-  [[nodiscard]] const vcluster::CartTopology& topology() const {
-    return topo_;
-  }
 
   // Useful flops executed so far (for sustained-performance accounting).
   [[nodiscard]] double flopsExecuted() const;
@@ -169,6 +186,8 @@ class WaveSolver {
   // (includes the ring replica exchange when toBuddy). Not hot: runs on
   // the checkpoint cadence only.
   void persistState(bool toDisk, bool toBuddy);
+  // Restore a blob written by persistState: grid state, then fault state.
+  void restoreState(std::span<const std::byte> blob);
   [[nodiscard]] health::PreflightContext buildPreflightContext(
       std::size_t plannedSteps) const;
   // Collective recovery from a Fatal cluster verdict: roll back to the
@@ -207,13 +226,13 @@ class WaveSolver {
   int checkpointEvery_ = 0;
   io::BuddyStore* buddies_ = nullptr;
   int buddyEvery_ = 0;
+  FaultPlugin* fault_ = nullptr;
 
   std::unique_ptr<health::HealthGuard> guard_;
   bool preflightDone_ = false;
   bool dtDerived_ = false;
   double dtBaseline_ = 0.0;  // dt before any health-guard tightening
 
-  PhaseTimer phases_;
   std::size_t step_ = 0;
 
   // Rollback-replay window: opened on a successful rollback, closed when

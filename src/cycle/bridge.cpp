@@ -152,13 +152,6 @@ sched::ScenarioSpec eventSpec(const CycleEvent& event,
   const auto pattern = resamplePattern(event, rnx, rnz);
   const auto mask = nucleationMask(event, config, rnx, rnz);
 
-  // Mirror the service's rupture friction setup so the accommodation band
-  // is the band the solver will actually run with.
-  rupture::FrictionParams fp;
-  fp.dc = 1.5e-3 * config.h;
-  fp.dcSurface = 3.0 * fp.dc;
-  const rupture::SlipWeakeningFriction friction(fp);
-
   sched::ScenarioSpec spec;
   spec.kind = sched::ScenarioKind::Rupture;
   spec.steps = config.steps;
@@ -169,6 +162,9 @@ sched::ScenarioSpec eventSpec(const CycleEvent& event,
   spec.nucFraction = (static_cast<double>(event.nucI) + 0.5) /
                      static_cast<double>(event.nx);
   spec.cycleDigest = event.digest;
+  // Accommodate to the friction the service will actually run this spec
+  // with, so the accommodation band is the solver's band.
+  const rupture::SlipWeakeningFriction friction(spec.ruptureConfig().friction);
   spec.cycleStress = std::make_shared<rupture::FaultInitialStress>(
       rupture::accommodateStressPattern(pattern, mask, rnx, rnz, config.h,
                                         config.stress, friction));

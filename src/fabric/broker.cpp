@@ -400,9 +400,7 @@ void Broker::defer(const std::shared_ptr<const sched::ScenarioSpec>& spec,
 }
 
 bool Broker::seedJobDirFromPeers(const LogRecord& rec) {
-  if (rec.spec.kind != sched::ScenarioKind::Wave ||
-      rec.spec.checkpointEverySteps <= 0)
-    return false;
+  if (rec.spec.checkpointEverySteps <= 0) return false;
   // Candidate peers: any other broker whose job dir holds a digest-valid
   // rank-0 generation; prefer the newest (the most progress to keep).
   int best = -1;
@@ -427,13 +425,15 @@ bool Broker::seedJobDirFromPeers(const LogRecord& rec) {
   const fs::path dstJob = service_->jobDirFor(rec.digest);
   std::error_code ec;
   fs::create_directories(dstJob / "ckpt", ec);
-  // Surface first: a resumed attempt marks the pre-resume sample prefix
-  // as already persisted, so the prefix must actually be on disk before
-  // any checkpoint is adopted. No surface copy -> no checkpoint adoption
-  // -> a fresh (still bit-identical) run that rewrites everything.
-  if (!fs::copy_file(srcJob / "surface.bin", dstJob / "surface.bin",
-                     fs::copy_options::overwrite_existing, ec) ||
-      ec)
+  // Surface first (a rupture job has none: its whole state is in the
+  // checkpoints): a resumed attempt marks the pre-resume sample prefix as
+  // already persisted, so the prefix must actually be on disk before any
+  // checkpoint is adopted. No surface copy -> no checkpoint adoption -> a
+  // fresh (still bit-identical) run that rewrites everything.
+  if (fs::exists(srcJob / "surface.bin", ec) &&
+      (!fs::copy_file(srcJob / "surface.bin", dstJob / "surface.bin",
+                      fs::copy_options::overwrite_existing, ec) ||
+       ec))
     return false;
   io::CheckpointStore srcStore((srcJob / "ckpt").string());
   io::CheckpointStore dstStore((dstJob / "ckpt").string());

@@ -179,9 +179,7 @@ std::vector<std::byte> StaggeredGrid::saveState() const {
   if (attenuation_.enabled)
     for (const Array3f* f : {&rxx, &ryy, &rzz, &rxy, &rxz, &ryz})
       fields.push_back(f);
-  std::size_t total = 0;
-  for (const auto* f : fields) total += f->size() * sizeof(float);
-  std::vector<std::byte> out(total);
+  std::vector<std::byte> out(stateBytes());
   std::size_t at = 0;
   for (const auto* f : fields) {
     std::memcpy(out.data() + at, f->data(), f->size() * sizeof(float));
@@ -194,14 +192,19 @@ void StaggeredGrid::restoreState(std::span<const std::byte> state) {
   std::vector<Array3f*> fields = {&u, &v, &w, &xx, &yy, &zz, &xy, &xz, &yz};
   if (attenuation_.enabled)
     for (Array3f* f : {&rxx, &ryy, &rzz, &rxy, &rxz, &ryz}) fields.push_back(f);
-  std::size_t total = 0;
-  for (const auto* f : fields) total += f->size() * sizeof(float);
-  AWP_CHECK_MSG(state.size() == total, "checkpoint state size mismatch");
+  AWP_CHECK_MSG(state.size() == stateBytes(),
+                "checkpoint state size mismatch");
   std::size_t at = 0;
   for (auto* f : fields) {
     std::memcpy(f->data(), state.data() + at, f->size() * sizeof(float));
     at += f->size() * sizeof(float);
   }
+}
+
+std::size_t StaggeredGrid::stateBytes() const {
+  // Nine wavefields plus, under attenuation, six memory variables; every
+  // field has the same halo-padded extent.
+  return (attenuation_.enabled ? 15 : 9) * u.size() * sizeof(float);
 }
 
 double StaggeredGrid::kineticEnergy() const {

@@ -104,6 +104,7 @@ class StaggeredGrid {
   // variables). Material is excluded: it is re-derivable from the mesh.
   [[nodiscard]] std::vector<std::byte> saveState() const;
   void restoreState(std::span<const std::byte> state);
+  [[nodiscard]] std::size_t stateBytes() const;  // saveState().size()
 
   // Energy-like norm of the velocity field (for tests and absorbing
   // boundary quality measurements): sum of rho * |v|^2 over the interior.

@@ -1,5 +1,11 @@
 #pragma once
-// DFR: the dynamic fault rupture solver — AWP-ODC's "SGSN mode" (Fig 6).
+// DFR: dynamic fault rupture — AWP-ODC's "SGSN mode" (Fig 6). As in the
+// paper, rupture is not a second engine: FaultCondition is a
+// core::FaultPlugin that the one wave time loop (core::WaveSolver) steps
+// as an interior boundary condition, so a rupture shares the wave run's
+// kernels, halo exchange, free surface, sponge, health guard, checkpoints
+// and respawn ladder. Its state rides the solver's checkpoint blob.
+//
 // A vertical planar fault (normal +y) is embedded in the FD volume on the
 // plane y = faultJ + 1/2, which in our staggering is exactly the plane
 // carrying the σxy (strike-direction) and σyz (dip-direction) shear
@@ -22,14 +28,13 @@
 // slip-rate time histories that dSrcG (src/source) turns into the moment-
 // rate source for the wave-propagation run (the two-step M8 method).
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "core/free_surface.hpp"
-#include "core/geometry.hpp"
 #include "core/kernels.hpp"
-#include "core/sponge.hpp"
-#include "grid/halo.hpp"
+#include "core/solver.hpp"
 #include "grid/staggered_grid.hpp"
 #include "rupture/friction.hpp"
 #include "rupture/stress_model.hpp"
@@ -93,22 +98,21 @@ struct FaultHistory {
   [[nodiscard]] double superShearFraction(double vs) const;
 };
 
-class DynamicRuptureSolver {
+// The fault as a boundary-condition plug-in on core::WaveSolver: binds the
+// locally owned fault nodes, bounds their tractions by the slip-weakening
+// strength each step, and keeps the slip-rate bookkeeping. Its state rides
+// the solver's checkpoint blob, so a rupture restores (disk, buddy,
+// rollback, respawn) exactly like a wave run.
+class FaultCondition final : public core::FaultPlugin {
  public:
-  DynamicRuptureSolver(vcluster::Communicator& comm,
-                       const vcluster::CartTopology& topo,
-                       const RuptureConfig& config,
-                       const vmodel::VelocityModel& model);
+  // Collective (the rupture preflight). `solver` must outlive this object;
+  // attach with solver.attachFault(&fault).
+  FaultCondition(core::WaveSolver& solver, const RuptureConfig& config);
 
-  void step();
-  void run(std::size_t nSteps);
-
-  [[nodiscard]] std::size_t currentStep() const { return step_; }
-  [[nodiscard]] grid::StaggeredGrid& grid() { return *grid_; }
-  [[nodiscard]] const RuptureConfig& config() const { return config_; }
-  [[nodiscard]] const FaultInitialStress& initialStress() const {
-    return stress_;
-  }
+  void afterVelocity(const grid::StaggeredGrid& g, std::size_t step) override;
+  void afterStress(grid::StaggeredGrid& g) override;
+  void saveState(std::vector<std::byte>& blob) const override;
+  void restoreState(std::span<const std::byte> state) override;
 
   // Collective: assemble the full fault history on rank 0 (others get an
   // empty FaultHistory with nx == 0).
@@ -124,30 +128,45 @@ class DynamicRuptureSolver {
     float mu;                // rigidity at the node [Pa]
     // Evolving state.
     float slipPath = 0.0f;
-    float slipX = 0.0f, slipZ = 0.0f;
     float peakRate = 0.0f;
     float ruptureTime = -1.0f;
   };
 
-  void faultCondition();
-  void recordSlipRates();
-
-  vcluster::Communicator& comm_;
-  const vcluster::CartTopology& topo_;
+  core::WaveSolver& solver_;
   RuptureConfig config_;
-  core::DomainGeometry geom_;
-  FaultInitialStress stress_;
   SlipWeakeningFriction friction_;
-
-  std::unique_ptr<grid::StaggeredGrid> grid_;
-  std::unique_ptr<grid::HaloExchanger> halo_;
-  std::unique_ptr<core::FreeSurface> freeSurface_;
-  std::unique_ptr<core::SpongeLayer> sponge_;
-
   std::vector<LocalNode> nodes_;
-  std::vector<float> historyX_, historyZ_;  // [node * recordedSteps + t]
+  std::vector<float> historyX_, historyZ_;  // [t * nodes + node]
   std::size_t recordedSteps_ = 0;
-  std::size_t step_ = 0;
+};
+
+// The wave solver a rupture runs on: the config's grid, spacing, kernels
+// and sponge over the rank's sampling of `model`. `base` supplies the rest
+// (health guard, telemetry, a dt override); config.dt > 0 wins over it.
+// Collective (CFL probe, material exchange).
+std::unique_ptr<core::WaveSolver> makeRuptureWaveSolver(
+    vcluster::Communicator& comm, const vcluster::CartTopology& topo,
+    const RuptureConfig& config, const vmodel::VelocityModel& model,
+    core::SolverConfig base = {});
+
+// A standalone rupture run: a WaveSolver with a FaultCondition attached.
+class DynamicRuptureSolver {
+ public:
+  DynamicRuptureSolver(vcluster::Communicator& comm,
+                       const vcluster::CartTopology& topo,
+                       const RuptureConfig& config,
+                       const vmodel::VelocityModel& model);
+
+  void run(std::size_t nSteps) { wave_->run(nSteps); }
+  [[nodiscard]] std::size_t currentStep() const {
+    return wave_->currentStep();
+  }
+  // Collective: the fault history on rank 0 (see FaultCondition::gather).
+  [[nodiscard]] FaultHistory gather() { return fault_->gather(); }
+
+ private:
+  std::unique_ptr<core::WaveSolver> wave_;
+  std::unique_ptr<FaultCondition> fault_;
 };
 
 }  // namespace awp::rupture

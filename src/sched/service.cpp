@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 
 #include "core/solver.hpp"
 #include "core/source.hpp"
@@ -99,6 +100,51 @@ std::vector<std::byte> derivePgvh(const std::vector<std::byte>& surface,
   std::vector<std::byte> bytes(pgvh.size() * sizeof(float));
   std::memcpy(bytes.data(), pgvh.data(), bytes.size());
   return bytes;
+}
+
+// The wave kind's solver: the spec's domain over the cached CVM mesh (or a
+// uniform background), with an isotropic Ricker pulse at the centre.
+std::unique_ptr<core::WaveSolver> buildWaveSolver(
+    vcluster::Communicator& comm, const vcluster::CartTopology& topo,
+    core::SolverConfig config, const ScenarioSpec& spec,
+    const std::vector<std::byte>& meshBytes) {
+  config.globalDims = spec.dims;
+  config.h = spec.h;
+  config.absorbing = core::AbsorbingType::Sponge;
+  config.spongeWidth = spec.spongeWidth;
+
+  std::unique_ptr<core::WaveSolver> solver;
+  if (spec.useCvm) {
+    const mesh::MeshSpec mspec{spec.dims.nx, spec.dims.ny, spec.dims.nz,
+                               spec.h, 0.0, 0.0};
+    mesh::MeshBlock block;
+    block.spec = mesh::subdomainFor(topo, mspec, comm.rank());
+    block.points.resize(block.spec.pointCount());
+    const auto* field =
+        reinterpret_cast<const vmodel::Material*>(meshBytes.data());
+    for (std::size_t k = 0; k < block.spec.z.count(); ++k)
+      for (std::size_t j = 0; j < block.spec.y.count(); ++j)
+        for (std::size_t i = 0; i < block.spec.x.count(); ++i)
+          block.at(i, j, k) =
+              field[(block.spec.x.begin + i) +
+                    spec.dims.nx * ((block.spec.y.begin + j) +
+                                    spec.dims.ny * (block.spec.z.begin + k))];
+    solver = std::make_unique<core::WaveSolver>(comm, topo, config, block);
+  } else {
+    const vmodel::Material uniform{6000.0f, 3464.0f, 2700.0f};
+    solver = std::make_unique<core::WaveSolver>(comm, topo, config, uniform);
+  }
+
+  // The wavelet is sampled at the EFFECTIVE dt (CFL-derived or the retry's
+  // tightened override), which every rank agrees on.
+  const double dt = solver->dt();
+  const double f0 =
+      spec.sourceFreqHz > 0.0 ? spec.sourceFreqHz : 1.0 / (20.0 * dt);
+  solver->addSource(core::explosionPointSource(
+      spec.dims.nx / 2, spec.dims.ny / 2, spec.dims.nz / 2,
+      core::rickerWavelet(f0, 1.5 / f0, dt, spec.steps,
+                          spec.sourceAmplitude)));
+  return solver;
 }
 
 }  // namespace
@@ -353,10 +399,7 @@ void ScenarioService::workerMain(Dispatch d) {
   }
   executedAttempts_.fetch_add(1, std::memory_order_relaxed);
   try {
-    ScenarioProducts products =
-        d.job->spec.kind == ScenarioKind::Wave
-            ? attemptWave(*d.job, d.coreBase)
-            : attemptRupture(*d.job, d.coreBase);
+    ScenarioProducts products = attempt(*d.job, d.coreBase);
     if (config_.cacheProducts)
       cache_.put(productKey(d.job->hash), products.serialize());
     if (config_.publisher != nullptr &&
@@ -389,18 +432,10 @@ void ScenarioService::workerMain(Dispatch d) {
                                       : RequeueCause::WorkerCrash,
                  d.job->lastStep.load(std::memory_order_relaxed), e.what());
   } catch (const Error& e) {
-    if (d.job->spec.kind == ScenarioKind::Rupture) {
-      // Rupture attempts have no checkpoint to resume from: errors are
-      // terminal, not retryable.
-      settleTerminal(d.job, JobPhase::Failed, e.what(), {},
-                     /*countedPrimary=*/true);
-    } else {
-      // A health-guard abort (rollback budget exhausted) surfaces here as
-      // a collective Error: requeue with a tightened dt.
-      maybeRequeue(d.job, RequeueCause::FatalVerdict,
-                   d.job->lastStep.load(std::memory_order_relaxed),
-                   e.what());
-    }
+    // A health-guard abort (rollback budget exhausted) surfaces here as a
+    // collective Error: requeue with a tightened dt.
+    maybeRequeue(d.job, RequeueCause::FatalVerdict,
+                 d.job->lastStep.load(std::memory_order_relaxed), e.what());
   } catch (const std::exception& e) {
     settleTerminal(d.job, JobPhase::Failed, e.what(), {},
                    /*countedPrimary=*/true);
@@ -418,16 +453,23 @@ void ScenarioService::workerMain(Dispatch d) {
   }
 }
 
-ScenarioProducts ScenarioService::attemptWave(JobState& job, int coreBase) {
+ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
   const ScenarioSpec& spec = job.spec;
   const std::string jobDir = jobDirFor(job.hash);
   fs::create_directories(fs::path(jobDir) / "ckpt");
+  // The two kinds share this whole attempt (ladder, watchdog, health guard,
+  // checkpoints, resume agreement); they differ only in how the solver is
+  // built and in the products.
+  const bool isRupture = spec.kind == ScenarioKind::Rupture;
+  const rupture::RuptureConfig ruptureConfig =
+      isRupture ? spec.ruptureConfig() : rupture::RuptureConfig{};
+  const grid::GridDims dims = isRupture ? ruptureConfig.globalDims : spec.dims;
 
   // Mesh generation is deduplicated across jobs (and across attempts of
   // one job): the cache's single-flight getOrCompute means N concurrent
   // jobs over the same domain pay for one sampling pass.
   std::vector<std::byte> meshBytes;
-  if (spec.useCvm) {
+  if (!isRupture && spec.useCvm) {
     bool computedHere = false;
     meshBytes = cache_.getOrCompute(meshKey(spec), [&] {
       computedHere = true;
@@ -525,6 +567,7 @@ ScenarioProducts ScenarioService::attemptWave(JobState& job, int coreBase) {
   const std::string surfacePath =
       (fs::path(jobDir) / "surface.bin").string();
   const int cancelEvery = std::max(1, config_.cancelCheckEverySteps);
+  rupture::FaultHistory history;  // rank 0's gather, rupture kind only
   double dtOverride = 0.0;
   {
     std::lock_guard<std::mutex> lock(job.mutex);
@@ -544,15 +587,11 @@ ScenarioProducts ScenarioService::attemptWave(JobState& job, int coreBase) {
         telemetry::resetThreadSpans();
 
         const auto cart = vcluster::CartTopology::balancedDims(
-            spec.nranks, spec.dims.nx, spec.dims.ny, spec.dims.nz);
+            spec.nranks, dims.nx, dims.ny, dims.nz);
         vcluster::CartTopology topo(cart);
 
         core::SolverConfig config;
-        config.globalDims = spec.dims;
-        config.h = spec.h;
         config.dt = dtOverride > 0.0 ? dtOverride : 0.0;
-        config.absorbing = core::AbsorbingType::Sponge;
-        config.spongeWidth = spec.spongeWidth;
         config.health.enabled = true;
         config.health.monitor.everySteps = spec.healthEverySteps;
         config.health.maxRollbacks = spec.maxRollbacks;
@@ -563,71 +602,47 @@ ScenarioProducts ScenarioService::attemptWave(JobState& job, int coreBase) {
         config.telemetry.emitAggregates = false;
 
         std::unique_ptr<core::WaveSolver> solver;
-        if (spec.useCvm) {
-          const mesh::MeshSpec mspec{spec.dims.nx, spec.dims.ny,
-                                     spec.dims.nz, spec.h, 0.0, 0.0};
-          mesh::MeshBlock block;
-          block.spec = mesh::subdomainFor(topo, mspec, comm.rank());
-          block.points.resize(block.spec.pointCount());
-          const auto* field =
-              reinterpret_cast<const vmodel::Material*>(meshBytes.data());
-          for (std::size_t k = 0; k < block.spec.z.count(); ++k)
-            for (std::size_t j = 0; j < block.spec.y.count(); ++j)
-              for (std::size_t i = 0; i < block.spec.x.count(); ++i)
-                block.at(i, j, k) =
-                    field[(block.spec.x.begin + i) +
-                          spec.dims.nx * ((block.spec.y.begin + j) +
-                                          spec.dims.ny *
-                                              (block.spec.z.begin + k))];
-          solver = std::make_unique<core::WaveSolver>(comm, topo, config,
-                                                      block);
+        std::unique_ptr<rupture::FaultCondition> fault;
+        std::optional<io::SharedFile> surface;
+        if (isRupture) {
+          solver = rupture::makeRuptureWaveSolver(
+              comm, topo, ruptureConfig,
+              vmodel::LayeredModel::socalBackground(), config);
+          fault = std::make_unique<rupture::FaultCondition>(*solver,
+                                                            ruptureConfig);
+          solver->attachFault(fault.get());
         } else {
-          const vmodel::Material uniform{6000.0f, 3464.0f, 2700.0f};
-          solver = std::make_unique<core::WaveSolver>(comm, topo, config,
-                                                      uniform);
+          solver = buildWaveSolver(comm, topo, config, spec, meshBytes);
+          // Surface output: unbuffered, undecimated, step-indexed writes
+          // to a file that PERSISTS across attempts (open never truncates),
+          // so a resumed attempt rewrites its replay window in place and
+          // keeps every earlier sample — the canonical wave product.
+          surface.emplace(surfacePath, io::SharedFile::Mode::ReadWrite);
+          core::SurfaceOutputConfig out;
+          out.file = &*surface;
+          out.sampleEverySteps = spec.surfaceSampleEverySteps;
+          out.spatialDecimation = 1;
+          out.flushEverySamples = 1;
+          if (config_.publisher != nullptr) {
+            // Serving-tier hook: every durable-prefix advance of this
+            // rank's writer is reported (on the rank thread) so partial
+            // hazard products can be folded mid-run.
+            SurfaceRunInfo info;
+            info.specHash = job.hash;
+            info.spec = spec;
+            info.surfacePath = surfacePath;
+            ProductPublisher* pub = config_.publisher;
+            const int origin = config_.publishOriginId;
+            const int rank = comm.rank();
+            out.flushObserver = [pub, info = std::move(info), origin, rank](
+                                    std::uint64_t durableSamples,
+                                    std::uint64_t lowestRewritten) {
+              pub->onWindowFlush(info, origin, rank, durableSamples,
+                                 lowestRewritten);
+            };
+          }
+          solver->attachSurfaceOutput(out);
         }
-
-        // Source: an isotropic Ricker pulse at the domain centre. The
-        // wavelet is sampled at the EFFECTIVE dt (CFL-derived or the
-        // retry's tightened override), which every rank agrees on.
-        const double dt = solver->dt();
-        const double f0 =
-            spec.sourceFreqHz > 0.0 ? spec.sourceFreqHz : 1.0 / (20.0 * dt);
-        solver->addSource(core::explosionPointSource(
-            spec.dims.nx / 2, spec.dims.ny / 2, spec.dims.nz / 2,
-            core::rickerWavelet(f0, 1.5 / f0, dt, spec.steps,
-                                spec.sourceAmplitude)));
-
-        // Surface output: unbuffered, undecimated, step-indexed writes to
-        // a file that PERSISTS across attempts (open never truncates), so
-        // a resumed attempt rewrites its replay window in place and keeps
-        // every earlier sample — the canonical wave product.
-        io::SharedFile surface(surfacePath,
-                               io::SharedFile::Mode::ReadWrite);
-        core::SurfaceOutputConfig out;
-        out.file = &surface;
-        out.sampleEverySteps = spec.surfaceSampleEverySteps;
-        out.spatialDecimation = 1;
-        out.flushEverySamples = 1;
-        if (config_.publisher != nullptr) {
-          // Serving-tier hook: every durable-prefix advance of this rank's
-          // writer is reported (on the rank thread) so partial hazard
-          // products can be folded mid-run.
-          SurfaceRunInfo info;
-          info.specHash = job.hash;
-          info.spec = spec;
-          info.surfacePath = surfacePath;
-          ProductPublisher* pub = config_.publisher;
-          const int origin = config_.publishOriginId;
-          const int rank = comm.rank();
-          out.flushObserver = [pub, info = std::move(info), origin, rank](
-                                  std::uint64_t durableSamples,
-                                  std::uint64_t lowestRewritten) {
-            pub->onWindowFlush(info, origin, rank, durableSamples,
-                               lowestRewritten);
-          };
-        }
-        solver->attachSurfaceOutput(out);
 
         if (spec.checkpointEverySteps > 0) {
           solver->attachCheckpoints(&checkpoints,
@@ -652,9 +667,9 @@ ScenarioProducts ScenarioService::attemptWave(JobState& job, int coreBase) {
                              std::memory_order_relaxed);
         }
 
-        const std::size_t target = spec.steps;
-        if (solver->currentStep() >= target) return;
-        solver->run(target - solver->currentStep(), [&](std::size_t step) {
+        // Checkpoints are taken at steps below the target, so a resume
+        // never passes it (a resume AT it runs zero steps).
+        solver->run(spec.steps - solver->currentStep(), [&](std::size_t step) {
           if (comm.rank() == 0) {
             job.lastStep.store(step, std::memory_order_relaxed);
             job.lastDt.store(solver->dt(), std::memory_order_relaxed);
@@ -675,6 +690,10 @@ ScenarioProducts ScenarioService::attemptWave(JobState& job, int coreBase) {
               throw CancelledError(static_cast<RequeueCause>(flag), step);
           }
         });
+        if (fault) {
+          auto h = fault->gather();
+          if (comm.rank() == 0) history = std::move(h);
+        }
       };
 
   if (cluster != nullptr)
@@ -684,10 +703,17 @@ ScenarioProducts ScenarioService::attemptWave(JobState& job, int coreBase) {
   attemptDone.store(true, std::memory_order_relaxed);
   if (dog) dog->stop();
 
-  // Products from the canonical bytes on disk.
   ScenarioProducts products;
   products.specHash = job.hash;
   products.completedSteps = spec.steps;
+  if (isRupture) {
+    products.dt = history.dt;
+    products.blobs.emplace_back(
+        "fault_history",
+        ArtifactBlob::fromBytes(serializeFaultHistory(history)));
+    return products;
+  }
+  // Wave products from the canonical bytes on disk.
   products.dt = job.lastDt.load(std::memory_order_relaxed);
   auto surfaceBytes = readFileBytes(surfacePath);
   const std::size_t stepFloats = 3 * spec.dims.nx * spec.dims.ny;
@@ -696,70 +722,6 @@ ScenarioProducts ScenarioService::attemptWave(JobState& job, int coreBase) {
                                   surfaceBytes, stepFloats)));
   products.blobs.emplace_back(
       "surface.bin", ArtifactBlob::fromBytes(std::move(surfaceBytes)));
-  return products;
-}
-
-ScenarioProducts ScenarioService::attemptRupture(JobState& job,
-                                                 int coreBase) {
-  const ScenarioSpec& spec = job.spec;
-  rupture::RuptureConfig config;
-  // Round, don't truncate: a lengthKm produced as nx*h/1000 must map back
-  // to exactly nx nodes (the cycle bridge's stress override is sized that
-  // way, and the solver rejects a dimension mismatch).
-  const auto nx = static_cast<std::size_t>(
-      std::llround(spec.lengthKm * 1000.0 / spec.h));
-  const auto nzFault = static_cast<std::size_t>(
-      std::llround(spec.depthKm * 1000.0 / spec.h));
-  const std::size_t margin = 14;
-  config.globalDims = {nx + 2 * margin, 2 * margin + 2, nzFault + margin};
-  config.h = spec.h;
-  config.faultJ = margin;
-  config.fi0 = margin;
-  config.fi1 = margin + nx;
-  config.fk1 = config.globalDims.nz - 1;
-  config.fk0 = config.fk1 - nzFault;
-  config.spongeWidth = 10;
-  config.friction.dc = 1.5e-3 * spec.h;
-  config.friction.dcSurface = 3.0 * config.friction.dc;
-  config.stress.seed = spec.seed;
-  config.stress.corrX = 0.1 * spec.lengthKm * 1000.0;
-  config.stress.corrZ = 0.3 * spec.depthKm * 1000.0;
-  config.stress.nucX = spec.nucFraction * spec.lengthKm * 1000.0;
-  config.stress.nucZ = 0.6 * spec.depthKm * 1000.0;
-  config.stress.nucRadius = std::max(8.0 * spec.h, 4000.0);
-  config.stress.nucExcess = 0.15;
-  config.timeDecimation = 2;
-  config.slipRateThreshold = 0.01;
-  // A cycle-bridged scenario nucleates from its interseismically evolved
-  // stress snapshot instead of the seeded random-field model.
-  if (spec.cycleStress) config.stressOverride = spec.cycleStress;
-
-  rupture::FaultHistory history;
-  vcluster::ThreadCluster::run(
-      spec.nranks, [&](vcluster::Communicator& comm) {
-        telemetry::setThreadSlotBase(config_.telemetrySlotBase + coreBase);
-        telemetry::resetThreadSpans();
-        const auto cart = vcluster::CartTopology::balancedDims(
-            spec.nranks, config.globalDims.nx, config.globalDims.ny,
-            config.globalDims.nz);
-        vcluster::CartTopology topo(cart);
-        const auto model = vmodel::LayeredModel::socalBackground();
-        rupture::DynamicRuptureSolver solver(comm, topo, config, model);
-        solver.run(spec.steps);
-        if (comm.rank() == 0)
-          job.lastStep.store(solver.currentStep(),
-                             std::memory_order_relaxed);
-        auto h = solver.gather();
-        if (comm.rank() == 0) history = std::move(h);
-      });
-
-  ScenarioProducts products;
-  products.specHash = job.hash;
-  products.completedSteps = spec.steps;
-  products.dt = history.dt;
-  products.blobs.emplace_back(
-      "fault_history",
-      ArtifactBlob::fromBytes(serializeFaultHistory(history)));
   return products;
 }
 

@@ -54,7 +54,7 @@ struct ServiceConfig {
   double watchdogPollSeconds = 0.05;
   int cancelCheckEverySteps = 2;    // collective cancel-poll cadence
   double retryDtTighten = 0.5;      // dt scale on fatal-verdict requeue
-  // Recovery ladder (wave attempts): in-place rank respawns allowed per
+  // Recovery ladder (every attempt): in-place rank respawns allowed per
   // attempt before a loss escalates to cancel-and-requeue. Separate from
   // maxRetries — a respawn repairs the RUNNING attempt; a retry restarts
   // it. 0 = legacy behaviour (every loss cancels the attempt).
@@ -160,10 +160,9 @@ class ScenarioService {
   bool dispatchNext(Dispatch& out) AWP_REQUIRES(dispatchMu_);
   void dispatcherLoop();
   void workerMain(Dispatch d);
-  // One attempt of each kind; returns the products on success, throws
+  // One attempt of either kind; returns the products on success, throws
   // CancelledError (collective cancellation) or awp::Error.
-  ScenarioProducts attemptWave(JobState& job, int coreBase);
-  ScenarioProducts attemptRupture(JobState& job, int coreBase);
+  ScenarioProducts attempt(JobState& job, int coreBase);
   void maybeRequeue(const JobHandle& job, RequeueCause cause,
                     std::uint64_t atStep, const std::string& why);
   // Terminal transition: settle the job (and any coalesced followers),

@@ -1,6 +1,7 @@
 #include "sched/spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -215,14 +216,45 @@ std::size_t ScenarioSpec::estimatedBytes() const {
   // halo padding and solver scratch. Deliberately generous.
   constexpr std::size_t kBytesPerCell = 160;
   if (kind == ScenarioKind::Wave) return dims.count() * kBytesPerCell;
-  // Rupture: reconstruct the volume runMiniRupture-style (fault plus
-  // absorbing margins) from the fault extent.
-  const auto nx = static_cast<std::size_t>(lengthKm * 1000.0 / h);
-  const auto nzFault = static_cast<std::size_t>(depthKm * 1000.0 / h);
+  return ruptureConfig().globalDims.count() * kBytesPerCell;
+}
+
+rupture::RuptureConfig ScenarioSpec::ruptureConfig() const {
+  rupture::RuptureConfig config;
+  // Round, don't truncate: a lengthKm produced as nx*h/1000 must map back
+  // to exactly nx nodes (the cycle bridge's stress override is sized that
+  // way, and the solver rejects a dimension mismatch).
+  const auto nx = static_cast<std::size_t>(
+      std::llround(lengthKm * 1000.0 / h));
+  const auto nzFault = static_cast<std::size_t>(
+      std::llround(depthKm * 1000.0 / h));
   const std::size_t margin = 14;
-  const std::size_t cells =
-      (nx + 2 * margin) * (2 * margin + 2) * (nzFault + margin);
-  return cells * kBytesPerCell;
+  config.globalDims = {nx + 2 * margin, 2 * margin + 2, nzFault + margin};
+  config.h = h;
+  config.faultJ = margin;
+  config.fi0 = margin;
+  config.fi1 = margin + nx;
+  // The fault reaches from depthKm up to one row below the free surface.
+  config.fk1 = config.globalDims.nz - 1;
+  config.fk0 = config.fk1 - nzFault;
+  config.spongeWidth = 10;
+  // dc ∝ h keeps the cohesive zone resolved (the paper's 0.3 m at 100 m
+  // gives Λ ≈ 6-7 h); under-resolving it drives spurious super-shear.
+  config.friction.dc = 1.5e-3 * h;
+  config.friction.dcSurface = 3.0 * config.friction.dc;
+  config.stress.seed = seed;
+  config.stress.corrX = 0.1 * lengthKm * 1000.0;
+  config.stress.corrZ = 0.3 * depthKm * 1000.0;
+  config.stress.nucX = nucFraction * lengthKm * 1000.0;
+  config.stress.nucZ = 0.6 * depthKm * 1000.0;
+  config.stress.nucRadius = std::max(8.0 * h, 4000.0);
+  config.stress.nucExcess = 0.15;
+  config.timeDecimation = 2;
+  config.slipRateThreshold = 0.01;
+  // A cycle-bridged scenario nucleates from its interseismically evolved
+  // stress snapshot instead of the seeded random-field model.
+  if (cycleStress) config.stressOverride = cycleStress;
+  return config;
 }
 
 ArtifactBlob ArtifactBlob::fromBytes(std::vector<std::byte> data) {

@@ -80,6 +80,10 @@ struct ScenarioSpec {
 
   // Rough resident-memory estimate for admission control [bytes].
   [[nodiscard]] std::size_t estimatedBytes() const;
+  // The rupture solver configuration a rupture-kind spec runs with: the
+  // fault plane plus 14-cell absorbing margins, friction scaled to h, the
+  // seeded stress model (or the cycle stress snapshot).
+  [[nodiscard]] rupture::RuptureConfig ruptureConfig() const;
 };
 
 // One named output artifact of a completed scenario, with its own digest

@@ -121,6 +121,16 @@ ClusterReport aggregate(vcluster::Communicator& comm, const Session& session,
   return report;
 }
 
+std::array<double, kEq7BucketCount> eq7Breakdown(
+    const ClusterReport& report) {
+  std::array<double, kEq7BucketCount> seconds{};
+  for (const PhaseStat& p : report.phases)
+    seconds[static_cast<std::size_t>(
+        kPhaseEq7Buckets[static_cast<std::size_t>(p.phase)])] +=
+        p.meanSeconds;
+  return seconds;
+}
+
 std::string toJson(const ClusterReport& report) {
   std::ostringstream os;
   os << "{\n";

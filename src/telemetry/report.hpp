@@ -11,6 +11,7 @@
 // rank 0's returned report is populated; other ranks get an empty report
 // (valid() == false), mirroring gatherBytes semantics.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,6 +66,10 @@ struct ClusterReport {
 // for min/max/mean (they describe no rank).
 ClusterReport aggregate(vcluster::Communicator& comm, const Session& session,
                         std::uint64_t step, double wallSeconds);
+
+// Per-rank mean exclusive seconds summed into the Eq. (7) buckets,
+// indexed by Eq7Bucket.
+std::array<double, kEq7BucketCount> eq7Breakdown(const ClusterReport& report);
 
 // Render as a JSON document (schema "awp-telemetry-report", version 1).
 std::string toJson(const ClusterReport& report);

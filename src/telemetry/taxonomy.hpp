@@ -56,6 +56,47 @@ inline constexpr std::array<std::string_view, kPhaseCount> kPhaseJsonNames = {
   return kPhaseJsonNames[static_cast<std::size_t>(p)];
 }
 
+// The paper's Eq. (7) decomposition Ttot = Tcomp + Tcomm + Tsync +
+// γToutput + φTreini, and the bucket each span phase's time is charged to
+// (Fig 12's breakdown is read off a telemetry report through this table).
+enum class Eq7Bucket : std::size_t { Compute = 0, Comm, Sync, Output, Reinit,
+                                     kCount };
+
+inline constexpr std::size_t kEq7BucketCount =
+    static_cast<std::size_t>(Eq7Bucket::kCount);
+
+inline constexpr std::array<std::string_view, kEq7BucketCount>
+    kEq7BucketNames = {"compute", "comm", "sync", "output", "reinit"};
+
+// Indexed by Phase.
+inline constexpr auto kPhaseEq7Buckets = std::to_array<Eq7Bucket>({
+    Eq7Bucket::Compute,  // VelocityKernel
+    Eq7Bucket::Compute,  // StressKernel
+    Eq7Bucket::Comm,     // HaloPack
+    Eq7Bucket::Comm,     // HaloExchange (incl. waits)
+    Eq7Bucket::Comm,     // HaloUnpack
+    Eq7Bucket::Compute,  // Absorb
+    Eq7Bucket::Compute,  // Rupture
+    Eq7Bucket::Output,   // Checkpoint
+    Eq7Bucket::Output,   // Output
+    Eq7Bucket::Sync,     // HealthScan (collective verdicts)
+    Eq7Bucket::Output,   // Transfer
+    Eq7Bucket::Reinit,   // RollbackReplay
+    Eq7Bucket::Sync,     // SchedQueue
+    Eq7Bucket::Sync,     // SchedDispatch
+    Eq7Bucket::Reinit,   // RespawnQuiesce
+    Eq7Bucket::Comm,     // FabricRoute
+    Eq7Bucket::Comm,     // FabricHeartbeat
+    Eq7Bucket::Comm,     // FabricForward
+    Eq7Bucket::Output,   // ServePublish
+    Eq7Bucket::Output,   // ServeQuery
+    Eq7Bucket::Output,   // ServeNotify
+    Eq7Bucket::Compute,  // CycleStep
+    Eq7Bucket::Comm,     // CycleBridge
+});
+static_assert(kPhaseEq7Buckets.size() == kPhaseCount,
+              "every Phase needs an Eq. (7) bucket");
+
 // Monotone counters and event totals. Cheap relaxed-atomic increments.
 enum class Counter : std::size_t {
   CellsUpdated = 0,      // grid cells advanced one full time step

@@ -1,12 +1,8 @@
 #pragma once
-// Wall-clock stopwatch and a cumulative phase timer matching the paper's
-// execution-time decomposition Ttot = Tcomp + Tcomm + Tsync + γToutput
-// + φTreini (Eq. 7).
+// Wall-clock stopwatch. Phase timing (the paper's Eq. 7 decomposition) is
+// telemetry's job: see telemetry/taxonomy.hpp.
 
-#include <array>
 #include <chrono>
-#include <cstddef>
-#include <string_view>
 
 namespace awp {
 
@@ -21,54 +17,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Phases of the solver main loop, in the paper's Eq. (7) order.
-enum class Phase : std::size_t {
-  Compute = 0,
-  Communicate,
-  Synchronize,
-  Output,
-  Reinit,
-  kCount
-};
-
-inline constexpr std::array<std::string_view,
-                            static_cast<std::size_t>(Phase::kCount)>
-    kPhaseNames = {"compute", "comm", "sync", "output", "reinit"};
-
-class PhaseTimer {
- public:
-  // Accumulate `seconds` into a phase bucket.
-  void add(Phase p, double seconds) {
-    total_[static_cast<std::size_t>(p)] += seconds;
-  }
-  [[nodiscard]] double get(Phase p) const {
-    return total_[static_cast<std::size_t>(p)];
-  }
-  [[nodiscard]] double total() const {
-    double t = 0.0;
-    for (double x : total_) t += x;
-    return t;
-  }
-  void reset() { total_.fill(0.0); }
-
- private:
-  std::array<double, static_cast<std::size_t>(Phase::kCount)> total_{};
-};
-
-// RAII helper: times a scope into a PhaseTimer bucket.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer& timer, Phase phase) : timer_(timer), phase_(phase) {}
-  ~ScopedPhase() { timer_.add(phase_, watch_.seconds()); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer& timer_;
-  Phase phase_;
-  Stopwatch watch_;
 };
 
 }  // namespace awp

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -494,6 +495,96 @@ TEST(ScenarioService, RankDeathIsRepairedInPlaceBitIdentically) {
       sched::validateServiceReportJson(sched::toJson(report));
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front());
+  fs::remove_all(baseWork);
+  fs::remove_all(chaosWork);
+}
+
+// A 2-rank rupture scenario on the same ladder: checkpoints (and buddy
+// replicas) every 10 steps.
+sched::ScenarioSpec chaosRuptureSpec() {
+  sched::ScenarioSpec spec;
+  spec.kind = sched::ScenarioKind::Rupture;
+  spec.nranks = 2;
+  spec.steps = 40;
+  spec.h = 600.0;
+  spec.lengthKm = 36.0;
+  spec.depthKm = 12.0;
+  spec.seed = 42;
+  spec.checkpointEverySteps = 10;
+  spec.name = "chaos-rupture";
+  return spec;
+}
+
+// Runs `spec` on a fresh 2-core service; returns the settled job.
+sched::JobHandle runOnFreshService(const sched::ScenarioSpec& spec,
+                                   const fs::path& work) {
+  sched::ServiceConfig cfg;
+  cfg.coreBudget = 2;
+  cfg.workDir = work.string();
+  cfg.respawnBudget = 1;
+  sched::ScenarioService service(cfg);
+  auto job = service.submit(spec);
+  job->wait();
+  return job;
+}
+
+TEST(ScenarioService, RuptureRankDeathIsRepairedInPlaceBitIdentically) {
+  const sched::ScenarioSpec spec = chaosRuptureSpec();
+  const fs::path baseWork = tempDir("svc-rupture-base");
+  const auto base = runOnFreshService(spec, baseWork);
+  ASSERT_EQ(base->wait(), sched::JobPhase::Completed);
+  const std::string historyMd5 = blobMd5(base->products, "fault_history");
+
+  // Rank 1 dies entering step 24, past the step-20 generation: the
+  // replacement restores grid AND fault state from its ring buddy.
+  const fs::path chaosWork = tempDir("svc-rupture-death");
+  fault::FaultPlan plan;
+  plan.rankDeath(/*rank=*/1, /*occurrence=*/25);
+  fault::FaultInjector injector(std::move(plan));
+  fault::ScopedInjection scoped(injector);
+  const auto job = runOnFreshService(spec, chaosWork);
+  EXPECT_EQ(injector.faultsInjected(), 1u);
+  {
+    std::lock_guard<std::mutex> lock(job->mutex);
+    ASSERT_EQ(job->phase, sched::JobPhase::Completed) << job->error;
+    EXPECT_EQ(job->attempts, 1);
+    EXPECT_TRUE(job->requeues.empty());
+    EXPECT_EQ(job->respawns, 1);
+  }
+  EXPECT_EQ(blobMd5(job->products, "fault_history"), historyMd5);
+  fs::remove_all(baseWork);
+  fs::remove_all(chaosWork);
+}
+
+TEST(ScenarioService, RupturePoisonIsDetectedAndRolledBack) {
+  const sched::ScenarioSpec spec = chaosRuptureSpec();
+  const fs::path baseWork = tempDir("svc-rupture-clean");
+  const auto base = runOnFreshService(spec, baseWork);
+  ASSERT_EQ(base->wait(), sched::JobPhase::Completed);
+
+  // A NaN lands in rank 0's velocity entering step 22; the step-25 scan
+  // sees it and the guard rolls back to the step-20 generation on a
+  // halved dt.
+  const fs::path chaosWork = tempDir("svc-rupture-poison");
+  fault::FaultPlan plan;
+  plan.poison("solver.step", /*rank=*/0, /*occurrence=*/23);
+  fault::FaultInjector injector(std::move(plan), /*seed=*/99);
+  fault::ScopedInjection scoped(injector);
+  const auto job = runOnFreshService(spec, chaosWork);
+  EXPECT_EQ(injector.faultsInjected(), 1u);
+  {
+    std::lock_guard<std::mutex> lock(job->mutex);
+    ASSERT_EQ(job->phase, sched::JobPhase::Completed) << job->error;
+    EXPECT_EQ(job->attempts, 1);
+    EXPECT_TRUE(job->requeues.empty());
+  }
+  const auto* blob = job->products.find("fault_history");
+  ASSERT_NE(blob, nullptr);
+  const auto history = sched::deserializeFaultHistory(blob->bytes);
+  EXPECT_DOUBLE_EQ(history.dt, 0.5 * base->products.dt);
+  for (const auto* v : {&history.finalSlip, &history.peakSlipRate,
+                        &history.slipRateX, &history.slipRateZ})
+    for (float x : *v) ASSERT_TRUE(std::isfinite(x));
   fs::remove_all(baseWork);
   fs::remove_all(chaosWork);
 }

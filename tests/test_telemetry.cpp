@@ -284,6 +284,34 @@ TEST_F(TelemetryTest, CountersAggregateAcrossRanks) {
   EXPECT_NEAR(vel.sumSeconds, vel.meanSeconds * 2.0, 1e-12);
 }
 
+TEST(Eq7Buckets, BreakdownFoldsEveryPhaseIntoItsBucket) {
+  using telemetry::Eq7Bucket;
+  using telemetry::Phase;
+  // Phase p spends p+1 seconds: every phase lands in exactly one bucket.
+  telemetry::ClusterReport report;
+  double total = 0.0;
+  for (std::size_t p = 0; p < telemetry::kPhaseCount; ++p) {
+    telemetry::PhaseStat stat;
+    stat.phase = static_cast<Phase>(p);
+    stat.meanSeconds = static_cast<double>(p + 1);
+    total += stat.meanSeconds;
+    report.phases.push_back(stat);
+  }
+  const auto buckets = telemetry::eq7Breakdown(report);
+  double sum = 0.0;
+  for (double s : buckets) sum += s;
+  EXPECT_DOUBLE_EQ(sum, total);
+  auto bucketOf = [](Phase p) {
+    return telemetry::kPhaseEq7Buckets[static_cast<std::size_t>(p)];
+  };
+  EXPECT_EQ(bucketOf(Phase::VelocityKernel), Eq7Bucket::Compute);
+  EXPECT_EQ(bucketOf(Phase::Rupture), Eq7Bucket::Compute);
+  EXPECT_EQ(bucketOf(Phase::HaloExchange), Eq7Bucket::Comm);
+  EXPECT_EQ(bucketOf(Phase::HealthScan), Eq7Bucket::Sync);
+  EXPECT_EQ(bucketOf(Phase::Output), Eq7Bucket::Output);
+  EXPECT_EQ(bucketOf(Phase::RollbackReplay), Eq7Bucket::Reinit);
+}
+
 TEST_F(TelemetryTest, OffRankWorkFoldsIntoCounterTotals) {
   using telemetry::Phase;
   using telemetry::Counter;
