@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Fail unless every FD row loop in src/core/kernels.cpp is vectorized.
+
+    python3 tools/check_vectorized.py <build-dir>
+
+Recompiles src/core/kernels.cpp with the exact command CMake recorded in
+<build-dir>/compile_commands.json, plus gcc's -fopt-info-vec-optimized-missed
+report, and checks every source line tagged `// row loop`: each must be
+reported "loop vectorized" and must carry no "couldn't vectorize loop" report
+(the row kernel is a template, so one line stands for every velocity and
+stress stencil instantiated on it). Guards against a refactor silently
+de-vectorizing the kernel.
+"""
+
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+
+KERNEL = os.path.join("src", "core", "kernels.cpp")
+MARKER = "// row loop"
+
+
+def compile_command(build_dir):
+    with open(os.path.join(build_dir, "compile_commands.json")) as f:
+        for entry in json.load(f):
+            if entry["file"].endswith(KERNEL):
+                return entry
+    sys.exit("check_vectorized: no compile command for " + KERNEL)
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    entry = compile_command(sys.argv[1])
+    args = shlex.split(entry["command"])
+    out = args.index("-o")
+    args[out + 1] = os.devnull
+    args.append("-fopt-info-vec-optimized-missed")
+    report = subprocess.run(args, cwd=entry["directory"], capture_output=True,
+                            text=True)
+    if report.returncode != 0:
+        sys.stderr.write(report.stderr)
+        sys.exit("check_vectorized: compiling the kernel failed")
+
+    with open(entry["file"]) as f:
+        lines = [n for n, text in enumerate(f, 1) if MARKER in text]
+    if not lines:
+        sys.exit("check_vectorized: no `%s` lines in %s" % (MARKER, KERNEL))
+
+    failed = False
+    for line in lines:
+        at = re.compile(r"kernels\.cpp:%d:\d+: (.*)" % line)
+        notes = [m.group(1) for m in map(at.search, report.stderr.splitlines())
+                 if m]
+        vectorized = sum("loop vectorized" in n for n in notes)
+        missed = [n for n in notes if "couldn't vectorize loop" in n]
+        status = "ok" if vectorized and not missed else "NOT VECTORIZED"
+        print("%s:%d: %d vectorized, %d missed -- %s"
+              % (KERNEL, line, vectorized, len(missed), status))
+        failed |= status != "ok"
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
