@@ -39,6 +39,16 @@ SpongeLayer::SpongeLayer(const DomainGeometry& geom,
   build(fy_, g.sy(), geom.local.y.begin, geom.global.ny, true);
   // No damping at the top (free surface): only the bottom is tapered in z.
   build(fz_, g.sz(), geom.local.z.begin, geom.global.nz, false);
+
+  for (std::size_t i = 0; i < fx_.size();) {
+    if (fx_[i] == 1.0f) {
+      ++i;
+      continue;
+    }
+    const std::size_t i0 = i;
+    while (i < fx_.size() && fx_[i] != 1.0f) ++i;
+    xDamped_.emplace_back(i0, i);
+  }
 }
 
 AWP_HOT void SpongeLayer::apply(grid::StaggeredGrid& g) const {
@@ -47,17 +57,19 @@ AWP_HOT void SpongeLayer::apply(grid::StaggeredGrid& g) const {
   Array3f* fields[] = {&g.u,  &g.v,  &g.w,  &g.xx, &g.yy,
                              &g.zz, &g.xy, &g.xz, &g.yz};
   for (auto* f : fields) {
-    float* data = f->data();
-    std::size_t n = 0;
+    float* row = f->data();
     for (std::size_t k = 0; k < az; ++k) {
       const float fk = fz_[k];
-      for (std::size_t j = 0; j < ay; ++j) {
+      for (std::size_t j = 0; j < ay; ++j, row += ax) {
         const float fjk = fy_[j] * fk;
         if (fjk == 1.0f) {
-          // Fast path: only x damping (or none) on this row.
-          for (std::size_t i = 0; i < ax; ++i, ++n) data[n] *= fx_[i];
+          // Only x damping (or none) on this row: touch the damped cells
+          // alone. The rest would be multiplied by exactly 1.0f, which
+          // leaves every float (subnormals included, no FTZ) unchanged.
+          for (const auto& [i0, i1] : xDamped_)
+            for (std::size_t i = i0; i < i1; ++i) row[i] *= fx_[i];
         } else {
-          for (std::size_t i = 0; i < ax; ++i, ++n) data[n] *= fx_[i] * fjk;
+          for (std::size_t i = 0; i < ax; ++i) row[i] *= fx_[i] * fjk;
         }
       }
     }
