@@ -277,16 +277,21 @@ void WaveSolver::persistState(bool toDisk, bool toBuddy) {
   if (fault_) fault_->saveState(state);
   if (toDisk) checkpoints_->write(comm_.rank(), step_, state);
   if (!toBuddy) return;
-  buddies_->storeSelf(comm_.rank(), step_, state);
-  if (comm_.size() == 1) return;  // no partner: the self blob suffices
+  if (comm_.size() == 1) {  // no partner: the self blob suffices
+    buddies_->storeSelf(comm_.rank(), step_, std::move(state));
+    return;
+  }
   // Ring replica exchange: ship my blob to my buddy, receive my
   // predecessor's and retain it as their replica. Deterministic order
   // (everyone sends, then everyone receives) — buffered sends never block.
+  // The send copies the blob, so it goes before the blob moves into the
+  // store.
   const int buddy = topo_.ringBuddy(comm_.rank());
   const int pred = (comm_.rank() + comm_.size() - 1) % comm_.size();
   comm_.sendValue(buddy, vcluster::kTagBuddySize,
                   static_cast<std::uint64_t>(state.size()));
   comm_.send(buddy, vcluster::kTagBuddyData, state.data(), state.size());
+  buddies_->storeSelf(comm_.rank(), step_, std::move(state));
   const auto n = comm_.recvValue<std::uint64_t>(pred, vcluster::kTagBuddySize);
   std::vector<std::byte> replica(n);
   comm_.recv(pred, vcluster::kTagBuddyData, replica.data(), n);
@@ -300,7 +305,7 @@ void WaveSolver::persistState(bool toDisk, bool toBuddy) {
       return;
     }
   }
-  buddies_->storeReplica(pred, step_, replica);
+  buddies_->storeReplica(pred, step_, std::move(replica));
   telemetry::count(telemetry::Counter::BuddyBlobsReplicated, 1);
 }
 

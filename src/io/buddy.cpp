@@ -1,5 +1,7 @@
 #include "io/buddy.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace awp::io {
@@ -10,21 +12,21 @@ BuddyStore::BuddyStore(int nranks) {
 }
 
 void BuddyStore::storeSelf(int rank, std::uint64_t step,
-                           std::span<const std::byte> blob) {
+                           std::vector<std::byte> blob) {
   AWP_CHECK_MSG(rank >= 0 && rank < size(), "storeSelf: rank out of range");
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = slots_[static_cast<std::size_t>(rank)];
-  slot.self = Blob{step, std::vector<std::byte>(blob.begin(), blob.end())};
+  slot.self = Blob{step, std::move(blob)};
   ++stats_.selfStores;
 }
 
 void BuddyStore::storeReplica(int owner, std::uint64_t step,
-                              std::span<const std::byte> blob) {
+                              std::vector<std::byte> blob) {
   AWP_CHECK_MSG(owner >= 0 && owner < size(),
                 "storeReplica: owner out of range");
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = slots_[static_cast<std::size_t>(owner)];
-  slot.replica = Blob{step, std::vector<std::byte>(blob.begin(), blob.end())};
+  slot.replica = Blob{step, std::move(blob)};
   ++stats_.replicaStores;
 }
 

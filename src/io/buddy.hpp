@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "util/guarded.hpp"
@@ -37,10 +36,12 @@ class BuddyStore {
   explicit BuddyStore(int nranks);
 
   // Rank `rank` stores its own blob for `step` (replaces older self blob).
-  void storeSelf(int rank, std::uint64_t step, std::span<const std::byte> blob);
+  // Blobs are taken by value: callers move their buffer in, so a
+  // checkpoint never holds a second copy of a multi-megabyte state.
+  void storeSelf(int rank, std::uint64_t step, std::vector<std::byte> blob);
   // The ring buddy of `owner` stores owner's replica for `step`.
   void storeReplica(int owner, std::uint64_t step,
-                    std::span<const std::byte> blob);
+                    std::vector<std::byte> blob);
   // A replica was lost in flight (buddy_drop): count it, and invalidate any
   // older replica so a stale generation cannot masquerade as current.
   void noteDrop(int owner);
