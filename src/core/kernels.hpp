@@ -1,15 +1,24 @@
 #pragma once
 // The AWP-ODC finite-difference kernels: 4th-order-in-space, 2nd-order-in-
 // time velocity–stress updates on the staggered grid (§II.B), including
-// the coarse-grained memory-variable attenuation (§II.A), plus the §IV.B
-// single-CPU optimization variants kept side by side so the ablations are
-// real measurements:
+// the coarse-grained memory-variable attenuation (§II.A).
+//
+// One row kernel does all of it: every (j, k) row of the update region runs
+// a point stencil (velocity, normal stress or shear stress) over unit-stride
+// flat offsets — ±1 in x, ±sx in y, ±sx*sy in z — through __restrict base
+// pointers, so the compiler vectorizes the row (kernels.cpp is built at -O3;
+// tools/check_vectorized.py guards it). Every expression keeps the
+// evaluation order of the per-point formulas, so results are bit-identical
+// across variants that share arithmetic. The §IV.B single-CPU optimization
+// variants are parameters of that one kernel, so the ablations stay real
+// measurements:
 //   * plain        — divisions per use (1/μ recomputed at every point)
 //   * reciprocal   — stored 1/λ, 1/μ ("only the reciprocal form is used in
 //                    frequently invoked subroutines")
-//   * cache-block  — kblock/jblock tiling of the k/j loops
-//   * unrolled     — 2x inner-loop unrolling ("unrolling by 2 iterations
-//                    gives the best performance")
+//   * cache-block  — kblock/jblock tiling of the k/j row loops
+//   * unrolled     — 2x unrolling of every row loop ("unrolling by 2
+//                    iterations gives the best performance")
+//   * hybrid       — k-slabs of rows across a §IV.D thread pool
 //
 // Staggering convention (h = grid spacing):
 //   xx, yy, zz at (i, j, k);  u at (i-1/2, j, k);  v at (i, j+1/2, k);

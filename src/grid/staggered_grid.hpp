@@ -6,9 +6,9 @@
 //
 // Staggering convention (see src/core/kernels.cpp for the stencils):
 //   xx, yy, zz at cell centers (i, j, k)
-//   u  at (i-1/2, j,     k    )     xy at (i-1/2, j-1/2, k    )
-//   v  at (i,     j-1/2, k    )     xz at (i-1/2, j,     k-1/2)
-//   w  at (i,     j,     k-1/2)     yz at (i,     j-1/2, k-1/2)
+//   u  at (i-1/2, j,     k    )     xy at (i-1/2, j+1/2, k    )
+//   v  at (i,     j+1/2, k    )     xz at (i-1/2, j,     k+1/2)
+//   w  at (i,     j,     k+1/2)     yz at (i,     j+1/2, k+1/2)
 //
 // Storage: every field is allocated with a 2-cell halo on all sides; the
 // interior spans raw indices [kHalo, kHalo + n) per axis. k increases
