@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <unistd.h>
@@ -19,6 +18,7 @@
 #include "cycle/kernel.hpp"
 #include "cycle/solver.hpp"
 #include "sched/service.hpp"
+#include "telemetry/json.hpp"
 #include "util/table.hpp"
 
 using namespace awp;
@@ -147,21 +147,21 @@ int main() {
   ct.print(std::cout);
 
   // --- record the trajectory ----------------------------------------------
-  {
-    std::ofstream json("BENCH_cycle.json");
-    json << "{\n"
-         << "  \"kernel_applies_per_second\": " << appliesPerSecond << ",\n"
-         << "  \"kernel_node_updates_per_second\": " << nodeUpdatesPerSecond
-         << ",\n"
-         << "  \"solver_steps_per_second\": " << stepsPerSecond << ",\n"
-         << "  \"solver_simulated_years\": " << simulatedYears << ",\n"
-         << "  \"sequence_wall_seconds\": " << sequenceSeconds << ",\n"
-         << "  \"sequence_steps\": " << summary.steps << ",\n"
-         << "  \"sequence_events\": " << summary.eventsDetected << ",\n"
-         << "  \"catalog_wall_seconds\": " << catalog.wallSeconds << ",\n"
-         << "  \"catalog_scenarios_completed\": " << completed << "\n"
-         << "}\n";
-  }
+  telemetry::writeTextAtomically(
+      "BENCH_cycle.json",
+      telemetry::JsonWriter()
+          .beginObject()
+          .field("kernel_applies_per_second", appliesPerSecond)
+          .field("kernel_node_updates_per_second", nodeUpdatesPerSecond)
+          .field("solver_steps_per_second", stepsPerSecond)
+          .field("solver_simulated_years", simulatedYears)
+          .field("sequence_wall_seconds", sequenceSeconds)
+          .field("sequence_steps", summary.steps)
+          .field("sequence_events", summary.eventsDetected)
+          .field("catalog_wall_seconds", catalog.wallSeconds)
+          .field("catalog_scenarios_completed", completed)
+          .endObject()
+          .str());
   std::cout << "\nrecorded BENCH_cycle.json\n";
 
   std::filesystem::remove_all(work);

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <unistd.h>
@@ -20,6 +19,7 @@
 #include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "serve/tile.hpp"
+#include "telemetry/json.hpp"
 #include "util/table.hpp"
 
 using namespace awp;
@@ -177,24 +177,24 @@ int main() {
   qt.print(std::cout);
 
   // --- record the trajectory ----------------------------------------------
-  {
-    std::ofstream json("BENCH_serving.json");
-    json << "{\n"
-         << "  \"publish_fresh_us\": " << freshUs << ",\n"
-         << "  \"publish_duplicate_us\": " << dupUs << ",\n"
-         << "  \"publish_dedup_us\": " << dedupUs << ",\n"
-         << "  \"ensemble_wall_seconds\": " << ensembleSeconds << ",\n"
-         << "  \"window_publishes\": " << stats.windowPublishes << ",\n"
-         << "  \"completion_publishes\": " << stats.completionPublishes
-         << ",\n"
-         << "  \"delta_batches\": " << stats.notifies << ",\n"
-         << "  \"chunk_dedup_hits\": " << cache.dedupHits << ",\n"
-         << "  \"cache_logical_bytes\": " << cache.logicalBytes << ",\n"
-         << "  \"cache_stored_bytes\": " << cache.storedBytes << ",\n"
-         << "  \"exceedance_queries_per_second\": " << qps << ",\n"
-         << "  \"tiles_scanned_per_second\": " << tilesPerSecond << "\n"
-         << "}\n";
-  }
+  telemetry::writeTextAtomically(
+      "BENCH_serving.json",
+      telemetry::JsonWriter()
+          .beginObject()
+          .field("publish_fresh_us", freshUs)
+          .field("publish_duplicate_us", dupUs)
+          .field("publish_dedup_us", dedupUs)
+          .field("ensemble_wall_seconds", ensembleSeconds)
+          .field("window_publishes", stats.windowPublishes)
+          .field("completion_publishes", stats.completionPublishes)
+          .field("delta_batches", stats.notifies)
+          .field("chunk_dedup_hits", cache.dedupHits)
+          .field("cache_logical_bytes", cache.logicalBytes)
+          .field("cache_stored_bytes", cache.storedBytes)
+          .field("exceedance_queries_per_second", qps)
+          .field("tiles_scanned_per_second", tilesPerSecond)
+          .endObject()
+          .str());
   std::cout << "\nrecorded BENCH_serving.json\n";
 
   std::filesystem::remove_all(work);

@@ -1,9 +1,7 @@
 #include "cycle/catalog.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 #include <cstring>
-#include <sstream>
 
 #include "telemetry/json.hpp"
 #include "util/error.hpp"
@@ -47,19 +45,6 @@ void putDoubles(std::vector<std::byte>& out, const std::vector<double>& v) {
 
 constexpr char kEventMagic[8] = {'A', 'W', 'P', 'C', 'Y', 'E', 'V', '1'};
 constexpr char kCatalogMagic[8] = {'A', 'W', 'P', 'C', 'Y', 'C', 'A', '1'};
-
-std::string fmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-bool isHex32(const std::string& s) {
-  if (s.size() != 32) return false;
-  for (char c : s)
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  return true;
-}
 
 }  // namespace
 
@@ -124,160 +109,100 @@ std::string CycleCatalog::digestHex() const {
 }
 
 std::string toJson(const CycleCatalog& catalog) {
-  using telemetry::escapeJson;
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"awp-cycle-catalog\",\n";
-  os << "  \"version\": 1,\n";
-  os << "  \"nx\": " << catalog.nx << ",\n";
-  os << "  \"nz\": " << catalog.nz << ",\n";
-  os << "  \"cell\": " << fmtDouble(catalog.cell) << ",\n";
-  os << "  \"years\": " << fmtDouble(catalog.years) << ",\n";
-  os << "  \"seed\": " << catalog.seed << ",\n";
-  os << "  \"steps\": " << catalog.steps << ",\n";
-  os << "  \"wall_seconds\": " << fmtDouble(catalog.wallSeconds) << ",\n";
-  os << "  \"events_detected\": " << catalog.rows.size() << ",\n";
-  os << "  \"catalog_digest\": \"" << escapeJson(catalog.digestHex())
-     << "\",\n";
-  os << "  \"events\": [";
-  bool first = true;
-  for (const CycleCatalogRow& row : catalog.rows) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n    {\"index\": " << row.index
-       << ", \"onset_seconds\": " << fmtDouble(row.onsetSeconds)
-       << ", \"duration_seconds\": " << fmtDouble(row.durationSeconds)
-       << ",\n     \"magnitude\": " << fmtDouble(row.magnitude)
-       << ", \"moment_nm\": " << fmtDouble(row.momentNm)
-       << ", \"peak_slip_rate\": " << fmtDouble(row.peakSlipRate)
-       << ",\n     \"event_digest\": \"" << escapeJson(row.eventDigest)
-       << "\", \"spec_hash\": \"" << escapeJson(row.specHash)
-       << "\",\n     \"product_digest\": \"" << escapeJson(row.productDigest)
-       << "\", \"phase\": \"" << escapeJson(row.phase)
-       << "\", \"completions\": " << row.completions << "}";
-  }
-  os << (catalog.rows.empty() ? "]\n" : "\n  ]\n");
-  os << "}\n";
-  return os.str();
+  telemetry::JsonWriter w;
+  w.beginObject()
+      .field("schema", "awp-cycle-catalog")
+      .field("version", 1)
+      .field("nx", catalog.nx)
+      .field("nz", catalog.nz)
+      .field("cell", catalog.cell)
+      .field("years", catalog.years)
+      .field("seed", catalog.seed)
+      .field("steps", catalog.steps)
+      .field("wall_seconds", catalog.wallSeconds)
+      .field("events_detected", catalog.rows.size())
+      .field("catalog_digest", catalog.digestHex())
+      .key("events")
+      .beginArray();
+  for (const CycleCatalogRow& row : catalog.rows)
+    w.beginObject()
+        .field("index", row.index)
+        .field("onset_seconds", row.onsetSeconds)
+        .field("duration_seconds", row.durationSeconds)
+        .field("magnitude", row.magnitude)
+        .field("moment_nm", row.momentNm)
+        .field("peak_slip_rate", row.peakSlipRate)
+        .field("event_digest", row.eventDigest)
+        .field("spec_hash", row.specHash)
+        .field("product_digest", row.productDigest)
+        .field("phase", row.phase)
+        .field("completions", row.completions)
+        .endObject();
+  return w.endArray().endObject().str();
 }
 
+namespace {
+
+using telemetry::FieldRule;
+using enum telemetry::FieldKind;
+
+constexpr FieldRule kCatalogFields[] = {
+    {"nx", Finite}, {"nz", Finite}, {"cell", NonNegative},
+    {"years", NonNegative}, {"seed", NonNegative}, {"steps", NonNegative},
+    {"wall_seconds", NonNegative}, {"events_detected", NonNegative},
+    {"catalog_digest", Hex32}, {"events", Array},
+};
+
+constexpr std::string_view kTerminalPhases[] = {"completed", "failed",
+                                                "rejected"};
+
+constexpr FieldRule kEventFields[] = {
+    {"index", Finite}, {"onset_seconds", NonNegative},
+    {"duration_seconds", NonNegative}, {"magnitude", Finite},
+    {"moment_nm", NonNegative}, {"peak_slip_rate", Finite},
+    {"event_digest", Hex32}, {"spec_hash", Hex32},
+    {"phase", OneOf, kTerminalPhases}, {"completions", NonNegative},
+};
+
+}  // namespace
+
 std::vector<std::string> validateCycleCatalogJson(const std::string& text) {
-  std::vector<std::string> violations;
-  telemetry::JsonValue root;
-  try {
-    root = telemetry::parseJson(text);
-  } catch (const Error& e) {
-    violations.push_back(std::string("parse error: ") + e.what());
-    return violations;
-  }
-  if (!root.isObject()) {
-    violations.push_back("root is not an object");
-    return violations;
-  }
+  using telemetry::JsonValue;
+  using telemetry::numberOf;
+  telemetry::SchemaCheck check(text, "awp-cycle-catalog", 1, kCatalogFields);
+  const JsonValue* root = check.root();
+  if (root == nullptr) return check.violations();
+  check.require(numberOf(*root, "nx") >= 1.0, "nx must be >= 1");
+  check.require(numberOf(*root, "nz") >= 1.0, "nz must be >= 1");
 
-  const auto* schema = root.find("schema");
-  if (schema == nullptr || !schema->isString() ||
-      schema->text != "awp-cycle-catalog")
-    violations.push_back("schema is not \"awp-cycle-catalog\"");
-  const auto* version = root.find("version");
-  if (version == nullptr || !version->isNumber() || version->number != 1.0)
-    violations.push_back("version is not 1");
+  const JsonValue* events =
+      telemetry::memberOf(*root, "events", JsonValue::Kind::Array);
+  if (events == nullptr) return check.violations();
+  check.require(static_cast<double>(events->items.size()) ==
+                    numberOf(*root, "events_detected"),
+                "events_detected disagrees with the events array");
 
-  const auto requireNumber = [&](const char* key,
-                                 double minimum) -> const telemetry::JsonValue* {
-    const auto* v = root.find(key);
-    if (v == nullptr || !v->isNumber() || !std::isfinite(v->number) ||
-        v->number < minimum) {
-      violations.push_back(std::string(key) +
-                           " missing, non-finite, or out of range");
-      return nullptr;
-    }
-    return v;
-  };
-  requireNumber("nx", 1.0);
-  requireNumber("nz", 1.0);
-  requireNumber("cell", 0.0);
-  requireNumber("years", 0.0);
-  requireNumber("seed", 0.0);
-  requireNumber("steps", 0.0);
-  requireNumber("wall_seconds", 0.0);
-  const auto* detected = requireNumber("events_detected", 0.0);
-
-  const auto* digest = root.find("catalog_digest");
-  if (digest == nullptr || !digest->isString() || !isHex32(digest->text))
-    violations.push_back("catalog_digest is not a 32-char hex digest");
-
-  const auto* events = root.find("events");
-  if (events == nullptr || !events->isArray()) {
-    violations.push_back("events array missing");
-    return violations;
-  }
-  if (detected != nullptr &&
-      static_cast<double>(events->items.size()) != detected->number)
-    violations.push_back("events_detected disagrees with the events array");
-
-  double lastOnset = -1.0;
+  double lastOnset = 0.0;
   for (std::size_t n = 0; n < events->items.size(); ++n) {
-    const auto& ev = events->items[n];
+    const JsonValue& ev = events->items[n];
     const std::string where = "events[" + std::to_string(n) + "]";
-    if (!ev.isObject()) {
-      violations.push_back(where + " is not an object");
-      continue;
-    }
-    const auto* index = ev.find("index");
-    if (index == nullptr || !index->isNumber() ||
-        index->number != static_cast<double>(n))
-      violations.push_back(where + ".index is not its position");
-    const auto evNumber = [&](const char* key) -> double {
-      const auto* v = ev.find(key);
-      if (v == nullptr || !v->isNumber() || !std::isfinite(v->number)) {
-        violations.push_back(where + "." + key + " missing or non-finite");
-        return 0.0;
-      }
-      return v->number;
-    };
-    const double onset = evNumber("onset_seconds");
-    if (onset < 0.0) violations.push_back(where + ".onset_seconds negative");
-    if (onset < lastOnset)
-      violations.push_back(where + ".onset_seconds out of order");
-    lastOnset = onset;
-    if (evNumber("duration_seconds") < 0.0)
-      violations.push_back(where + ".duration_seconds negative");
-    evNumber("magnitude");
-    if (evNumber("moment_nm") < 0.0)
-      violations.push_back(where + ".moment_nm negative");
-    if (evNumber("peak_slip_rate") <= 0.0)
-      violations.push_back(where + ".peak_slip_rate not positive");
-    const auto evString = [&](const char* key) -> std::string {
-      const auto* v = ev.find(key);
-      if (v == nullptr || !v->isString()) {
-        violations.push_back(where + "." + key + " missing");
-        return {};
-      }
-      return v->text;
-    };
-    if (!isHex32(evString("event_digest")))
-      violations.push_back(where + ".event_digest is not a hex digest");
-    if (!isHex32(evString("spec_hash")))
-      violations.push_back(where + ".spec_hash is not a hex digest");
-    const std::string phase = evString("phase");
-    if (phase != "completed" && phase != "failed" && phase != "rejected")
-      violations.push_back(where + ".phase is not a terminal phase name");
-    const auto* completions = ev.find("completions");
-    const double comp = (completions != nullptr && completions->isNumber())
-                            ? completions->number
-                            : -1.0;
-    if (comp < 0.0)
-      violations.push_back(where + ".completions missing or negative");
-    if (phase == "completed") {
-      if (!isHex32(evString("product_digest")))
-        violations.push_back(where +
-                             ".product_digest missing on a completed event");
-      if (comp < 1.0)
-        violations.push_back(where + ".completions < 1 on a completed event");
+    if (!check.require(ev.isObject(), where + " is not an object")) continue;
+    check.fields(ev, where, kEventFields);
+    check.require(numberOf(ev, "index") == static_cast<double>(n),
+                  where + ".index is not its position");
+    const double onset = numberOf(ev, "onset_seconds");
+    check.require(onset >= lastOnset, where + ".onset_seconds out of order");
+    lastOnset = std::max(lastOnset, onset);
+    check.require(numberOf(ev, "peak_slip_rate") > 0.0,
+                  where + ".peak_slip_rate not positive");
+    if (telemetry::textOf(ev, "phase") == "completed") {
+      check.require(telemetry::isHex32(telemetry::textOf(ev, "product_digest")),
+                    where + ".product_digest missing on a completed event");
+      check.require(numberOf(ev, "completions") >= 1.0,
+                    where + ".completions < 1 on a completed event");
     }
   }
-  return violations;
+  return check.violations();
 }
 
 }  // namespace awp::cycle

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "telemetry/json.hpp"
@@ -101,21 +99,6 @@ void collectSlot(const RankTelemetry& slot, int lane,
     s.replay = rec.replay;
     out.push_back(std::move(s));
   }
-}
-
-void writeTextAtomically(const std::string& path, const std::string& text) {
-  namespace fs = std::filesystem;
-  const fs::path target(path);
-  if (target.has_parent_path()) fs::create_directories(target.parent_path());
-  const fs::path tmp = target.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("telemetry: cannot open " + tmp.string());
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.flush();
-    if (!out) throw Error("telemetry: short write to " + tmp.string());
-  }
-  fs::rename(tmp, target);
 }
 
 }  // namespace

@@ -1,10 +1,7 @@
 #include "telemetry/report.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "telemetry/json.hpp"
@@ -15,27 +12,6 @@ namespace awp::telemetry {
 namespace {
 
 constexpr double kNsPerSecond = 1e9;
-
-std::string fmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void writeTextAtomically(const std::string& path, const std::string& text) {
-  namespace fs = std::filesystem;
-  const fs::path target(path);
-  if (target.has_parent_path()) fs::create_directories(target.parent_path());
-  const fs::path tmp = target.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("telemetry: cannot open " + tmp.string());
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.flush();
-    if (!out) throw Error("telemetry: short write to " + tmp.string());
-  }
-  fs::rename(tmp, target);
-}
 
 }  // namespace
 
@@ -132,45 +108,40 @@ std::array<double, kEq7BucketCount> eq7Breakdown(
 }
 
 std::string toJson(const ClusterReport& report) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"awp-telemetry-report\",\n";
-  os << "  \"version\": 1,\n";
-  os << "  \"nranks\": " << report.nranks << ",\n";
-  os << "  \"step\": " << report.step << ",\n";
-  os << "  \"wall_seconds\": " << fmtDouble(report.wallSeconds) << ",\n";
-  os << "  \"useful_seconds\": " << fmtDouble(report.usefulSeconds) << ",\n";
-  os << "  \"replay_seconds\": " << fmtDouble(report.replaySeconds) << ",\n";
-  os << "  \"coverage\": " << fmtDouble(report.coverage) << ",\n";
-  os << "  \"spans_recorded\": " << report.spansRecorded << ",\n";
-  os << "  \"spans_dropped\": " << report.spansDropped << ",\n";
-  os << "  \"phases\": {\n";
-  for (std::size_t p = 0; p < report.phases.size(); ++p) {
-    const PhaseStat& s = report.phases[p];
-    os << "    \"" << toString(s.phase) << "\": {"
-       << "\"sum_seconds\": " << fmtDouble(s.sumSeconds) << ", "
-       << "\"min_seconds\": " << fmtDouble(s.minSeconds) << ", "
-       << "\"max_seconds\": " << fmtDouble(s.maxSeconds) << ", "
-       << "\"mean_seconds\": " << fmtDouble(s.meanSeconds) << ", "
-       << "\"imbalance\": " << fmtDouble(s.imbalance) << ", "
-       << "\"max_rank\": " << s.maxRank << ", "
-       << "\"replay_seconds\": " << fmtDouble(s.replaySeconds) << "}"
-       << (p + 1 < report.phases.size() ? "," : "") << "\n";
-  }
-  os << "  },\n";
-  os << "  \"counters\": {\n";
-  for (std::size_t c = 0; c < report.counters.size(); ++c) {
-    const CounterStat& s = report.counters[c];
-    os << "    \"" << toString(s.counter) << "\": {"
-       << "\"total\": " << s.total << ", "
-       << "\"min\": " << s.min << ", "
-       << "\"max\": " << s.max << ", "
-       << "\"max_rank\": " << s.maxRank << "}"
-       << (c + 1 < report.counters.size() ? "," : "") << "\n";
-  }
-  os << "  }\n";
-  os << "}\n";
-  return os.str();
+  JsonWriter w;
+  w.beginObject()
+      .field("schema", "awp-telemetry-report")
+      .field("version", 1)
+      .field("nranks", report.nranks)
+      .field("step", report.step)
+      .field("wall_seconds", report.wallSeconds)
+      .field("useful_seconds", report.usefulSeconds)
+      .field("replay_seconds", report.replaySeconds)
+      .field("coverage", report.coverage)
+      .field("spans_recorded", report.spansRecorded)
+      .field("spans_dropped", report.spansDropped);
+  w.key("phases").beginObject();
+  for (const PhaseStat& s : report.phases)
+    w.key(toString(s.phase))
+        .beginObject()
+        .field("sum_seconds", s.sumSeconds)
+        .field("min_seconds", s.minSeconds)
+        .field("max_seconds", s.maxSeconds)
+        .field("mean_seconds", s.meanSeconds)
+        .field("imbalance", s.imbalance)
+        .field("max_rank", s.maxRank)
+        .field("replay_seconds", s.replaySeconds)
+        .endObject();
+  w.endObject().key("counters").beginObject();
+  for (const CounterStat& s : report.counters)
+    w.key(toString(s.counter))
+        .beginObject()
+        .field("total", s.total)
+        .field("min", s.min)
+        .field("max", s.max)
+        .field("max_rank", s.maxRank)
+        .endObject();
+  return w.endObject().endObject().str();
 }
 
 void writeReportFile(const std::string& path, const ClusterReport& report) {
@@ -194,143 +165,84 @@ void writeTraceFile(const std::string& path, const RankTelemetry& rankTel) {
 
 namespace {
 
-// Fetch a finite number member, recording a violation when absent/invalid.
-bool numberMember(const JsonValue& obj, const std::string& context,
-                  const std::string& key, std::vector<std::string>& out,
-                  double* value) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->isNumber()) {
-    out.push_back(context + ": missing numeric field '" + key + "'");
-    return false;
-  }
-  if (!std::isfinite(v->number)) {
-    out.push_back(context + ": field '" + key + "' is not finite");
-    return false;
-  }
-  *value = v->number;
-  return true;
-}
+using enum FieldKind;
 
-bool nonNegativeMember(const JsonValue& obj, const std::string& context,
-                       const std::string& key, std::vector<std::string>& out,
-                       double* value) {
-  if (!numberMember(obj, context, key, out, value)) return false;
-  if (*value < 0.0) {
-    out.push_back(context + ": field '" + key + "' is negative");
-    return false;
-  }
-  return true;
-}
+constexpr FieldRule kReportFields[] = {
+    {"nranks", Finite}, {"step", NonNegative}, {"wall_seconds", NonNegative},
+    {"useful_seconds", NonNegative}, {"replay_seconds", NonNegative},
+    {"coverage", NonNegative}, {"spans_recorded", NonNegative},
+    {"spans_dropped", NonNegative}, {"phases", Object}, {"counters", Object},
+};
+
+constexpr FieldRule kPhaseFields[] = {
+    {"sum_seconds", NonNegative}, {"min_seconds", NonNegative},
+    {"max_seconds", NonNegative}, {"mean_seconds", NonNegative},
+    {"imbalance", Finite}, {"max_rank", Finite},
+    {"replay_seconds", NonNegative},
+};
+
+constexpr FieldRule kCounterFields[] = {
+    {"total", NonNegative}, {"min", NonNegative}, {"max", NonNegative},
+    {"max_rank", Finite},
+};
 
 }  // namespace
 
 std::vector<std::string> validateReportJson(const std::string& text) {
-  std::vector<std::string> out;
-  JsonValue root;
-  try {
-    root = parseJson(text);
-  } catch (const Error& e) {
-    out.push_back(std::string("parse error: ") + e.what());
-    return out;
-  }
-  if (!root.isObject()) {
-    out.push_back("document is not an object");
-    return out;
-  }
+  SchemaCheck check(text, "awp-telemetry-report", 1, kReportFields);
+  const JsonValue* root = check.root();
+  if (root == nullptr) return check.violations();
 
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->isString() ||
-      schema->text != "awp-telemetry-report")
-    out.push_back("missing or wrong 'schema' identifier");
-  const JsonValue* version = root.find("version");
-  if (version == nullptr || !version->isNumber() || version->number != 1.0)
-    out.push_back("missing or unsupported 'version'");
-
-  double nranksD = 0.0;
-  int nranks = 0;
-  if (numberMember(root, "report", "nranks", out, &nranksD)) {
-    nranks = static_cast<int>(nranksD);
-    if (nranks < 1) out.push_back("report: 'nranks' must be >= 1");
-  }
-
-  double scratch = 0.0;
-  nonNegativeMember(root, "report", "wall_seconds", out, &scratch);
-  nonNegativeMember(root, "report", "useful_seconds", out, &scratch);
-  nonNegativeMember(root, "report", "replay_seconds", out, &scratch);
-  nonNegativeMember(root, "report", "coverage", out, &scratch);
-  nonNegativeMember(root, "report", "step", out, &scratch);
-  nonNegativeMember(root, "report", "spans_recorded", out, &scratch);
-  nonNegativeMember(root, "report", "spans_dropped", out, &scratch);
-
+  // Whole ranks: a fractional count truncates, as the offender index does.
+  const double nranks = std::trunc(numberOf(*root, "nranks"));
+  check.require(nranks >= 1, "report: 'nranks' must be >= 1");
+  const auto rankInRange = [&](const JsonValue& entry,
+                               const std::string& ctx) {
+    const double rank = numberOf(entry, "max_rank");
+    check.require(rank >= 0 && rank < nranks, ctx + ": max_rank out of range");
+  };
   // Relative slack for min<=mean<=max comparisons across text round-trips.
   constexpr double kEps = 1e-9;
+  const auto atMost = [](double a, double b) {
+    return a <= b * (1.0 + kEps) + kEps;
+  };
 
-  const JsonValue* phases = root.find("phases");
-  if (phases == nullptr || !phases->isObject()) {
-    out.push_back("missing 'phases' object");
-  } else {
-    for (std::size_t p = 0; p < kPhaseCount; ++p) {
-      const std::string name(kPhaseJsonNames[p]);
-      const std::string context = "phase '" + name + "'";
-      const JsonValue* entry = phases->find(name);
-      if (entry == nullptr || !entry->isObject()) {
-        out.push_back("missing phase '" + name + "'");
+  using Kind = JsonValue::Kind;
+  if (const JsonValue* phases = memberOf(*root, "phases", Kind::Object))
+    for (std::string_view phase : kPhaseJsonNames) {
+      const std::string name(phase);
+      const JsonValue* e = memberOf(*phases, name, Kind::Object);
+      if (!check.require(e != nullptr, "missing phase '" + name + "'"))
         continue;
-      }
-      double sum = 0, minV = 0, maxV = 0, mean = 0, imb = 0, replay = 0;
-      const bool haveSum =
-          nonNegativeMember(*entry, context, "sum_seconds", out, &sum);
-      const bool haveMin =
-          nonNegativeMember(*entry, context, "min_seconds", out, &minV);
-      const bool haveMax =
-          nonNegativeMember(*entry, context, "max_seconds", out, &maxV);
-      const bool haveMean =
-          nonNegativeMember(*entry, context, "mean_seconds", out, &mean);
-      nonNegativeMember(*entry, context, "replay_seconds", out, &replay);
-      if (haveMin && haveMean && minV > mean * (1.0 + kEps) + kEps)
-        out.push_back(context + ": min_seconds exceeds mean_seconds");
-      if (haveMean && haveMax && mean > maxV * (1.0 + kEps) + kEps)
-        out.push_back(context + ": mean_seconds exceeds max_seconds");
-      if (haveSum && haveMax && maxV > sum * (1.0 + kEps) + kEps)
-        out.push_back(context + ": max_seconds exceeds sum_seconds");
-      if (numberMember(*entry, context, "imbalance", out, &imb) &&
-          imb < 1.0 - kEps)
-        out.push_back(context + ": imbalance below 1");
-      double maxRank = 0.0;
-      if (numberMember(*entry, context, "max_rank", out, &maxRank) &&
-          nranks > 0 && (maxRank < 0 || maxRank >= nranks))
-        out.push_back(context + ": max_rank out of range");
+      const std::string ctx = "phase '" + name + "'";
+      check.fields(*e, ctx, kPhaseFields);
+      const double minV = numberOf(*e, "min_seconds");
+      const double mean = numberOf(*e, "mean_seconds");
+      const double maxV = numberOf(*e, "max_seconds");
+      check.require(atMost(minV, mean),
+                    ctx + ": min_seconds exceeds mean_seconds");
+      check.require(atMost(mean, maxV),
+                    ctx + ": mean_seconds exceeds max_seconds");
+      check.require(atMost(maxV, numberOf(*e, "sum_seconds")),
+                    ctx + ": max_seconds exceeds sum_seconds");
+      check.require(numberOf(*e, "imbalance") >= 1.0 - kEps,
+                    ctx + ": imbalance below 1");
+      rankInRange(*e, ctx);
     }
-  }
 
-  const JsonValue* counters = root.find("counters");
-  if (counters == nullptr || !counters->isObject()) {
-    out.push_back("missing 'counters' object");
-  } else {
-    for (std::size_t c = 0; c < kCounterCount; ++c) {
-      const std::string name(kCounterJsonNames[c]);
-      const std::string context = "counter '" + name + "'";
-      const JsonValue* entry = counters->find(name);
-      if (entry == nullptr || !entry->isObject()) {
-        out.push_back("missing counter '" + name + "'");
+  if (const JsonValue* counters = memberOf(*root, "counters", Kind::Object))
+    for (std::string_view counter : kCounterJsonNames) {
+      const std::string name(counter);
+      const JsonValue* e = memberOf(*counters, name, Kind::Object);
+      if (!check.require(e != nullptr, "missing counter '" + name + "'"))
         continue;
-      }
-      double total = 0, minV = 0, maxV = 0;
-      nonNegativeMember(*entry, context, "total", out, &total);
-      const bool haveMin =
-          nonNegativeMember(*entry, context, "min", out, &minV);
-      const bool haveMax =
-          nonNegativeMember(*entry, context, "max", out, &maxV);
-      if (haveMin && haveMax && minV > maxV)
-        out.push_back(context + ": min exceeds max");
-      double maxRank = 0.0;
-      if (numberMember(*entry, context, "max_rank", out, &maxRank) &&
-          nranks > 0 && (maxRank < 0 || maxRank >= nranks))
-        out.push_back(context + ": max_rank out of range");
+      const std::string ctx = "counter '" + name + "'";
+      check.fields(*e, ctx, kCounterFields);
+      check.require(numberOf(*e, "min") <= numberOf(*e, "max"),
+                    ctx + ": min exceeds max");
+      rankInRange(*e, ctx);
     }
-  }
-
-  return out;
+  return check.violations();
 }
 
 }  // namespace awp::telemetry
