@@ -77,8 +77,9 @@ int main() {
   cfg.coreBudget = 8;  // four 2-rank scenarios in flight concurrently
   cfg.queueCapacity = 8;
   cfg.maxRetries = 3;
-  cfg.respawnBudget = 1;       // one in-place respawn before escalation
-  cfg.buddyCheckpoints = true; // diskless buddy restore for the replacement
+  // One in-place respawn before escalation; the replacement restores from
+  // its buddy's diskless replica (on whenever the job checkpoints).
+  cfg.respawnBudget = 1;
   cfg.stallTimeoutSeconds = 0.75;
   cfg.watchdogPollSeconds = 0.05;
   // Debounce: require 3 s of CONSECUTIVE missed scans before opening a

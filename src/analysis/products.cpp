@@ -5,39 +5,9 @@
 #include <fstream>
 
 #include "io/shared_file.hpp"
-#include "mesh/partitioner.hpp"
 #include "util/error.hpp"
 
 namespace awp::analysis {
-
-SurfaceLayout surfaceLayoutFor(const vcluster::CartTopology& topo,
-                               const grid::GridDims& global,
-                               int spatialDecimation) {
-  AWP_CHECK(spatialDecimation >= 1);
-  const auto dec = static_cast<std::size_t>(spatialDecimation);
-  auto decFirst = [&](std::size_t begin) { return (begin + dec - 1) / dec; };
-  auto decCount = [&](vcluster::Range r) {
-    return (r.end + dec - 1) / dec - decFirst(r.begin);
-  };
-
-  SurfaceLayout layout;
-  layout.gnx = (global.nx + dec - 1) / dec;
-  layout.gny = (global.ny + dec - 1) / dec;
-  const mesh::MeshSpec spec{global.nx, global.ny, global.nz, 1.0, 0, 0};
-  for (int r = 0; r < topo.size(); ++r) {
-    const auto sub = mesh::subdomainFor(topo, spec, r);
-    if (sub.z.end != global.nz) continue;  // not a surface rank
-    SurfaceLayout::RankBlock block;
-    block.offsetFloats = layout.stepFloats;
-    block.nx = decCount(sub.x);
-    block.ny = decCount(sub.y);
-    block.x0 = decFirst(sub.x.begin);
-    block.y0 = decFirst(sub.y.begin);
-    layout.blocks.push_back(block);
-    layout.stepFloats += 3ULL * block.nx * block.ny;
-  }
-  return layout;
-}
 
 double writePgm(const std::vector<float>& map, std::size_t nx,
                 std::size_t ny, const std::string& path, double gamma) {
@@ -64,30 +34,24 @@ double writePgm(const std::vector<float>& map, std::size_t nx,
 }
 
 std::vector<float> readSurfaceSnapshot(const std::string& path,
-                                       const SurfaceLayout& layout,
+                                       const core::SurfaceLayout& layout,
                                        std::size_t sample) {
   io::SharedFile file(path, io::SharedFile::Mode::Read);
   AWP_CHECK_MSG(sample < layout.sampleCount(file.size()),
                 "sample index beyond the end of the surface file");
 
-  std::vector<float> snapshot(layout.gnx * layout.gny, 0.0f);
-  for (const auto& block : layout.blocks) {
-    std::vector<float> data(3 * block.nx * block.ny);
-    const std::uint64_t offsetBytes =
-        (static_cast<std::uint64_t>(sample) * layout.stepFloats +
-         block.offsetFloats) *
-        sizeof(float);
-    file.readAt(offsetBytes, std::span<float>(data));
-    std::size_t at = 0;
-    for (std::size_t j = 0; j < block.ny; ++j)
-      for (std::size_t i = 0; i < block.nx; ++i) {
-        const float u = data[at++];
-        const float v = data[at++];
-        const float w = data[at++];
-        snapshot[(block.x0 + i) + layout.gnx * (block.y0 + j)] =
-            std::sqrt(u * u + v * v + w * w);
-      }
+  std::vector<float> record(layout.stepFloats());
+  file.readAt(sample * layout.stepFloats() * sizeof(float),
+              std::span<float>(record));
+  std::vector<float> magnitude(record.size() / 3);
+  for (std::size_t p = 0; p < magnitude.size(); ++p) {
+    const float u = record[3 * p];
+    const float v = record[3 * p + 1];
+    const float w = record[3 * p + 2];
+    magnitude[p] = std::sqrt(u * u + v * v + w * w);
   }
+  std::vector<float> snapshot(layout.nx() * layout.ny());
+  layout.recordToRowMajor(magnitude.data(), snapshot.data());
   return snapshot;
 }
 

@@ -4,11 +4,15 @@
 // collections; here: grayscale PGM images of surface maps (the PGV maps
 // of Figs 3/15/17/21 as actual image files) and a reader for the solver's
 // aggregated surface-output files that reconstructs velocity-magnitude
-// snapshots (Fig 22-style wavefield frames).
+// snapshots (Fig 22-style wavefield frames). The reader takes the record
+// format from core::SurfaceLayout, the same description the solver writes
+// with.
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "core/surface_layout.hpp"
 
 namespace awp::analysis {
 
@@ -18,44 +22,10 @@ double writePgm(const std::vector<float>& map, std::size_t nx,
                 std::size_t ny, const std::string& path,
                 double gamma = 0.5);
 
-// Layout description of a surface-output file written by
-// WaveSolver::attachSurfaceOutput with a RANK-BLOCKED record per sampled
-// step (see solver.cpp): per step, each surface rank contributes
-// 3 floats (u, v, w) per decimated point, rank blocks in rank order.
-struct SurfaceLayout {
-  struct RankBlock {
-    std::uint64_t offsetFloats = 0;  // within one step record
-    std::size_t nx = 0, ny = 0;      // decimated points
-    std::size_t x0 = 0, y0 = 0;      // decimated global origin
-  };
-  std::vector<RankBlock> blocks;
-  std::uint64_t stepFloats = 0;
-  std::size_t gnx = 0, gny = 0;  // decimated global dims
-
-  [[nodiscard]] std::size_t sampleCount(std::uint64_t fileBytes) const {
-    return stepFloats == 0
-               ? 0
-               : static_cast<std::size_t>(fileBytes / sizeof(float) /
-                                          stepFloats);
-  }
-};
-
-// Velocity-magnitude snapshot (gnx * gny, x fastest) of one sampled step.
+// Velocity-magnitude snapshot (layout.nx() * layout.ny(), x fastest) of
+// one sampled step of a surface-output file written with `layout`.
 std::vector<float> readSurfaceSnapshot(const std::string& path,
-                                       const SurfaceLayout& layout,
+                                       const core::SurfaceLayout& layout,
                                        std::size_t sample);
-
-}  // namespace awp::analysis
-
-#include "grid/staggered_grid.hpp"
-#include "vcluster/cart.hpp"
-
-namespace awp::analysis {
-
-// Reconstruct the layout WaveSolver::attachSurfaceOutput used, from the
-// same deterministic inputs (topology, global dims, decimation).
-SurfaceLayout surfaceLayoutFor(const vcluster::CartTopology& topo,
-                               const grid::GridDims& global,
-                               int spatialDecimation);
 
 }  // namespace awp::analysis

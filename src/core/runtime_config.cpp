@@ -152,18 +152,10 @@ RuntimeConfig parseRuntimeConfig(const std::string& text,
       s.health.monitor.growthLimit = parseDouble(value, lineNo);
       if (s.health.monitor.growthLimit <= 1.0)
         fail(lineNo, "health_growth_limit must be > 1");
-    } else if (key == "health_stall_timeout") {
-      s.health.stallTimeoutSeconds = parseDouble(value, lineNo);
-      if (s.health.stallTimeoutSeconds <= 0.0)
-        fail(lineNo, "health_stall_timeout must be > 0");
     } else if (key == "health_watchdog_miss_threshold") {
-      s.health.watchdogMissThreshold = parseInt(value, lineNo);
-      if (s.health.watchdogMissThreshold < 1)
+      config.sched.watchdogMissThreshold = parseInt(value, lineNo);
+      if (config.sched.watchdogMissThreshold < 1)
         fail(lineNo, "health_watchdog_miss_threshold must be >= 1");
-    } else if (key == "health_respawn_budget") {
-      s.health.respawnBudget = parseInt(value, lineNo);
-      if (s.health.respawnBudget < 0)
-        fail(lineNo, "health_respawn_budget must be >= 0");
     } else if (key == "health_dt_rewiden_window") {
       s.health.dtRewidenWindow = parseInt(value, lineNo);
       if (s.health.dtRewidenWindow < 0)
@@ -224,8 +216,6 @@ RuntimeConfig parseRuntimeConfig(const std::string& text,
       config.sched.respawnBudget = parseInt(value, lineNo);
       if (config.sched.respawnBudget < 0)
         fail(lineNo, "sched_respawn_budget must be >= 0");
-    } else if (key == "sched_respawn_buddy") {
-      config.sched.respawnBuddy = parseSwitch(value, lineNo);
     } else if (key == "sched_cache") {
       config.sched.cacheProducts = parseSwitch(value, lineNo);
     } else if (key == "sched_cache_dir") {

@@ -31,11 +31,9 @@
 //   health_max_rollbacks = <n>
 //   health_dt_tighten    = <factor in (0,1)>
 //   health_growth_limit  = <ratio > 1>
-//   health_stall_timeout = <seconds>     (rank watchdog)
-//   health_watchdog_miss_threshold = <n> (consecutive missed scans before a
-//                                        stall episode opens; debounce)
-//   health_respawn_budget = <n>          (in-place rank respawns per attempt
-//                                        before escalating; 0 = never respawn)
+//   health_watchdog_miss_threshold = <n> (consecutive missed watchdog scans
+//                                        before a stall episode opens;
+//                                        debounce of the per-job watchdog)
 //   health_dt_rewiden_window = <scans>   (0 = never re-widen dt)
 //   health_dt_rewiden    = <factor > 1>  (walk-back step toward baseline)
 //   telemetry            = on | off      (install a telemetry session)
@@ -54,8 +52,7 @@
 //   sched_retry_dt_tighten = <factor in (0,1]> (dt scale on fatal-verdict
 //                                        requeue; crash/stall retries keep dt)
 //   sched_respawn_budget = <n>           (in-place rank respawns per attempt;
-//                                        0 = legacy immediate cancel-and-requeue)
-//   sched_respawn_buddy  = on | off      (diskless buddy checkpointing)
+//                                        0 = immediate cancel-and-requeue)
 //   sched_cache          = on | off      (memoize completed products)
 //   sched_cache_dir      = <path>        ("" = in-memory cache only)
 //   sched_work_dir       = <path>        (per-job checkpoints + surface files)
@@ -113,8 +110,8 @@ struct SchedKnobs {
   double stallTimeoutSeconds = 30.0;  // per-job watchdog timeout
   int cancelCheckEverySteps = 2;   // collective cancel-poll cadence
   double retryDtTighten = 0.5;     // dt scale on fatal-verdict requeue
-  int respawnBudget = 1;           // in-place respawns per attempt (0 = off)
-  bool respawnBuddy = true;        // diskless buddy checkpointing
+  int respawnBudget = 1;           // in-place respawns per attempt (0 = none)
+  int watchdogMissThreshold = 1;   // missed scans before a stall episode
   bool cacheProducts = true;       // memoize completed scenario products
   std::string cacheDir;            // "" = in-memory artifact cache only
   std::string workDir;             // "" = std::filesystem::temp_directory_path

@@ -112,34 +112,16 @@ void WaveSolver::attachSurfaceOutput(const SurfaceOutputConfig& out) {
   surfaceOutput_ = out;
   if (!geom_.touchesTop()) return;
 
-  // Decimated, rank-blocked layout: within each sampled step's record, the
-  // surface ranks own contiguous segments ordered by rank id, addressed by
-  // explicit displacement — "we use explicit displacements to perform data
-  // accesses at the specific locations for all the participating
-  // processors" (§III.E). Every rank computes the full displacement table
-  // deterministically from the topology, so no coordination is needed.
-  const auto dec = static_cast<std::size_t>(out.spatialDecimation);
-  auto decCount = [&](vcluster::Range r) {
-    const std::size_t first = (r.begin + dec - 1) / dec;
-    const std::size_t last = (r.end + dec - 1) / dec;
-    return last - first;
-  };
-  const mesh::MeshSpec spec{geom_.global.nx, geom_.global.ny,
-                            geom_.global.nz, config_.h, 0.0, 0.0};
-  std::uint64_t myOffset = 0, stepFloats = 0;
-  for (int r = 0; r < topo_.size(); ++r) {
-    const auto sub = mesh::subdomainFor(topo_, spec, r);
-    if (sub.z.end != geom_.global.nz) continue;  // not a surface rank
-    const std::uint64_t floats =
-        3ULL * decCount(sub.x) * decCount(sub.y);
-    if (r == comm_.rank()) myOffset = stepFloats;
-    stepFloats += floats;
-  }
-  const std::size_t lnx = decCount(geom_.local.x);
-  const std::size_t lny = decCount(geom_.local.y);
-  surfaceSample_.resize(3 * lnx * lny);
+  // This rank's block of the rank-blocked record; every rank derives the
+  // whole displacement table from the topology, so no coordination is
+  // needed.
+  const SurfaceLayout layout(topo_, geom_.global, out.spatialDecimation);
+  surfaceBlock_ = *layout.blockOf(comm_.rank());
+  const std::size_t floats = 3 * surfaceBlock_.nx * surfaceBlock_.ny;
+  surfaceSample_.resize(floats);
   surfaceWriter_ = std::make_unique<io::AggregatedWriter>(
-      out.file, 3 * lnx * lny, myOffset, stepFloats, out.flushEverySamples);
+      out.file, floats, surfaceBlock_.offsetFloats, layout.stepFloats(),
+      out.flushEverySamples);
   if (out.flushObserver) surfaceWriter_->setFlushObserver(out.flushObserver);
 }
 
@@ -225,15 +207,14 @@ AWP_HOT void WaveSolver::observationPhase() {
     const auto dec =
         static_cast<std::size_t>(surfaceOutput_->spatialDecimation);
     const std::size_t T = kHalo + grid_->dims().nz - 1;
-    // Fill the staging buffer preallocated by attachSurfaceOutput; the
-    // decimated loop visits exactly surfaceSample_.size() / 3 points.
+    // Fill the staging buffer preallocated by attachSurfaceOutput with the
+    // rank's block; decimated point (di, dj) is global (di, dj) * dec.
+    const SurfaceBlock& b = surfaceBlock_;
     std::size_t at = 0;
-    for (std::size_t gj = (geom_.local.y.begin + dec - 1) / dec * dec;
-         gj < geom_.local.y.end; gj += dec)
-      for (std::size_t gi = (geom_.local.x.begin + dec - 1) / dec * dec;
-           gi < geom_.local.x.end; gi += dec) {
-        const std::size_t i = gi - geom_.local.x.begin + kHalo;
-        const std::size_t j = gj - geom_.local.y.begin + kHalo;
+    for (std::size_t dj = b.y0; dj < b.y0 + b.ny; ++dj)
+      for (std::size_t di = b.x0; di < b.x0 + b.nx; ++di) {
+        const std::size_t i = di * dec - geom_.local.x.begin + kHalo;
+        const std::size_t j = dj * dec - geom_.local.y.begin + kHalo;
         surfaceSample_[at++] = grid_->u(i, j, T);
         surfaceSample_[at++] = grid_->v(i, j, T);
         surfaceSample_[at++] = grid_->w(i, j, T);

@@ -30,6 +30,7 @@
 #include "core/receivers.hpp"
 #include "core/source.hpp"
 #include "core/sponge.hpp"
+#include "core/surface_layout.hpp"
 #include "grid/halo.hpp"
 #include "grid/staggered_grid.hpp"
 #include "health/guard.hpp"
@@ -218,6 +219,7 @@ class WaveSolver {
 
   std::optional<SurfaceOutputConfig> surfaceOutput_;
   std::unique_ptr<io::AggregatedWriter> surfaceWriter_;
+  SurfaceBlock surfaceBlock_;  // this rank's block of the surface record
   // Preallocated (in attachSurfaceOutput) staging for one decimated surface
   // sample: observationPhase is on the hot path and must not allocate.
   std::vector<float> surfaceSample_;

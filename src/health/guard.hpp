@@ -34,14 +34,6 @@ struct HealthConfig {
   // per event (never past the baseline). 0 disables re-widening.
   int dtRewidenWindow = 0;
   double dtRewiden = 2.0;        // dt multiplier per re-widen event
-  double stallTimeoutSeconds = 30.0;  // watchdog knob (harness builds it)
-  // Watchdog debounce: consecutive missed scans before a stall episode
-  // opens (health_watchdog_miss_threshold).
-  int watchdogMissThreshold = 1;
-  // In-place rank respawns allowed per attempt before the recovery ladder
-  // escalates to cancel-and-requeue (health_respawn_budget). Separate from
-  // the scheduler's job-retry budget.
-  int respawnBudget = 1;
   HeartbeatBoard* heartbeats = nullptr;  // optional shared board
 };
 

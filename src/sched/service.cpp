@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +10,7 @@
 
 #include "core/solver.hpp"
 #include "core/source.hpp"
+#include "core/surface_layout.hpp"
 #include "fault/injector.hpp"
 #include "io/buddy.hpp"
 #include "io/checkpoint.hpp"
@@ -21,7 +21,6 @@
 #include "util/error.hpp"
 #include "util/hot.hpp"
 #include "vcluster/cart.hpp"
-#include "vcluster/cluster.hpp"
 #include "vcluster/respawn.hpp"
 #include "vmodel/cvm.hpp"
 
@@ -75,27 +74,20 @@ std::vector<std::byte> readFileBytes(const std::string& path) {
 }
 
 // Horizontal peak ground velocity per surface-file record position: the
-// max over samples of sqrt(u^2 + v^2). Derived from the surface.bin BYTES
-// (not from in-memory accumulators) so it is exactly reproducible from the
-// canonical product alone — the property the bit-identity tests pin.
+// layout's PGV-H fold over every sample record. Derived from the
+// surface.bin BYTES (not from in-memory accumulators) so it is exactly
+// reproducible from the canonical product alone — the property the
+// bit-identity tests pin.
 std::vector<std::byte> derivePgvh(const std::vector<std::byte>& surface,
-                                  std::size_t stepFloats) {
-  if (stepFloats == 0 || surface.size() % (stepFloats * sizeof(float)) != 0)
+                                  const core::SurfaceLayout& layout) {
+  const std::size_t stepBytes = layout.stepFloats() * sizeof(float);
+  if (surface.size() % stepBytes != 0)
     throw Error("sched: surface product size is not a whole sample count");
-  const std::size_t samples = surface.size() / (stepFloats * sizeof(float));
-  const std::size_t points = stepFloats / 3;
-  std::vector<float> floats(stepFloats);
-  std::vector<float> pgvh(points, 0.0f);
-  for (std::size_t s = 0; s < samples; ++s) {
-    std::memcpy(floats.data(),
-                surface.data() + s * stepFloats * sizeof(float),
-                stepFloats * sizeof(float));
-    for (std::size_t p = 0; p < points; ++p) {
-      const float u = floats[3 * p];
-      const float v = floats[3 * p + 1];
-      const float horiz = std::sqrt(u * u + v * v);
-      if (horiz > pgvh[p]) pgvh[p] = horiz;
-    }
+  std::vector<float> record(layout.stepFloats());
+  std::vector<float> pgvh(record.size() / 3, 0.0f);
+  for (std::size_t at = 0; at < surface.size(); at += stepBytes) {
+    std::memcpy(record.data(), surface.data() + at, stepBytes);
+    layout.foldPgvh(record.data(), pgvh.data());
   }
   std::vector<std::byte> bytes(pgvh.size() * sizeof(float));
   std::memcpy(bytes.data(), pgvh.data(), bytes.size());
@@ -184,8 +176,7 @@ ServiceConfig ServiceConfig::fromRuntime(const core::RuntimeConfig& rc) {
   c.cancelCheckEverySteps = rc.sched.cancelCheckEverySteps;
   c.retryDtTighten = rc.sched.retryDtTighten;
   c.respawnBudget = rc.sched.respawnBudget;
-  c.buddyCheckpoints = rc.sched.respawnBuddy;
-  c.watchdogMissThreshold = rc.solver.health.watchdogMissThreshold;
+  c.watchdogMissThreshold = rc.sched.watchdogMissThreshold;
   c.cacheProducts = rc.sched.cacheProducts;
   c.cacheDir = rc.sched.cacheDir;
   c.workDir = rc.sched.workDir;
@@ -202,6 +193,8 @@ ScenarioService::ScenarioService(ServiceConfig config)
       coreBusy_(static_cast<std::size_t>(std::max(1, config_.coreBudget)),
                 0) {
   AWP_CHECK_MSG(config_.coreBudget >= 1, "sched: core budget must be >= 1");
+  AWP_CHECK_MSG(config_.stallTimeoutSeconds > 0.0,
+                "sched: stall timeout must be > 0");
   if (config_.workDir.empty())
     config_.workDir = (fs::temp_directory_path() / "awp-sched").string();
   fs::create_directories(config_.workDir);
@@ -481,14 +474,12 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
               spec.dims.count() * sizeof(vmodel::Material));
   }
 
-  // Recovery ladder: with a respawn budget the attempt runs under a
-  // SupervisedCluster, a dead/stalled rank is respawned in place, and the
-  // replacement restores disklessly from its ring buddy's in-memory blob
-  // (disk checkpoints are the fallback). The buddy store is fresh per
-  // attempt so a requeued attempt never restores stale state.
-  const bool useLadder = config_.respawnBudget > 0;
-  const bool useBuddies =
-      config_.buddyCheckpoints && spec.checkpointEverySteps > 0;
+  // Recovery ladder: every attempt runs under a SupervisedCluster, a
+  // dead/stalled rank is respawned in place while the budget lasts, and
+  // the replacement restores disklessly from its ring buddy's in-memory
+  // blob (disk checkpoints are the fallback). A spent budget (0 included)
+  // escalates to cancel-and-requeue. The buddy store is fresh per attempt
+  // so a requeued attempt never restores stale state.
   io::BuddyStore buddies(spec.nranks);
 
   // Quiesce spans bracket a survivor rank's wait at the respawn fence.
@@ -496,72 +487,63 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
   std::vector<telemetry::ManualSpan> quiesceSpans(
       static_cast<std::size_t>(spec.nranks));
 
-  std::unique_ptr<vcluster::SupervisedCluster> cluster;
-  if (useLadder) {
-    vcluster::SupervisorOptions opts;
-    opts.respawnBudget = config_.respawnBudget;
-    opts.onRespawn = [this, &job, &buddies, useBuddies,
-                      coreBase](const vcluster::RespawnEvent& ev) {
-      // A dead rank's in-memory blob died with it (this hook runs before
-      // the replacement thread exists, so the restore below it cannot see
-      // the stale self copy): the replacement restores from the ring
-      // buddy's replica, or from disk. A stall respawn loses no memory.
-      if (useBuddies && ev.cause == "rank-death") buddies.noteDeath(ev.rank);
-      // Stall respawns leave a ZOMBIE incarnation that may still be
-      // executing (the wedge is a sleep, not an exit): fence its telemetry
-      // slot and drain any in-flight span write before the replacement —
-      // spawned after this hook returns — reuses it. Death respawns get
-      // the same treatment for uniformity (the drain is instant).
-      telemetry::retireSlot(config_.telemetrySlotBase + coreBase + ev.rank);
-      {
-        std::lock_guard<std::mutex> lock(job.mutex);
-        ++job.respawns;
-      }
-      telemetry::count(telemetry::Counter::RankRespawns);
-      recordRecoveryInstant("respawn rank " + std::to_string(ev.rank) +
-                                " (" + ev.cause + ")",
-                            ev.at);
-    };
-    opts.onQuiesce = [&quiesceSpans](int rank, bool entering) {
-      auto& span = quiesceSpans[static_cast<std::size_t>(rank)];
-      if (entering) {
-        // The fenced rank's fn just unwound, leaving its frame stack
-        // dangling on the slot: reset before opening the quiesce span
-        // (close() chases the parent frame pointer).
-        telemetry::resetThreadSpans();
-        span.begin(telemetry::Phase::RespawnQuiesce);
-      } else {
-        span.end();
-      }
-    };
-    cluster =
-        std::make_unique<vcluster::SupervisedCluster>(spec.nranks, opts);
-  }
+  vcluster::SupervisorOptions opts;
+  opts.respawnBudget = config_.respawnBudget;
+  opts.onRespawn = [this, &job, &buddies,
+                    coreBase](const vcluster::RespawnEvent& ev) {
+    // A dead rank's in-memory blob died with it (this hook runs before
+    // the replacement thread exists, so the restore below it cannot see
+    // the stale self copy): the replacement restores from the ring
+    // buddy's replica, or from disk. A stall respawn loses no memory.
+    if (ev.cause == "rank-death") buddies.noteDeath(ev.rank);
+    // Stall respawns leave a ZOMBIE incarnation that may still be
+    // executing (the wedge is a sleep, not an exit): fence its telemetry
+    // slot and drain any in-flight span write before the replacement —
+    // spawned after this hook returns — reuses it. Death respawns get
+    // the same treatment for uniformity (the drain is instant).
+    telemetry::retireSlot(config_.telemetrySlotBase + coreBase + ev.rank);
+    {
+      std::lock_guard<std::mutex> lock(job.mutex);
+      ++job.respawns;
+    }
+    telemetry::count(telemetry::Counter::RankRespawns);
+    recordRecoveryInstant("respawn rank " + std::to_string(ev.rank) + " (" +
+                              ev.cause + ")",
+                          ev.at);
+  };
+  opts.onQuiesce = [&quiesceSpans](int rank, bool entering) {
+    auto& span = quiesceSpans[static_cast<std::size_t>(rank)];
+    if (entering) {
+      // The fenced rank's fn just unwound, leaving its frame stack
+      // dangling on the slot: reset before opening the quiesce span
+      // (close() chases the parent frame pointer).
+      telemetry::resetThreadSpans();
+      span.begin(telemetry::Phase::RespawnQuiesce);
+    } else {
+      span.end();
+    }
+  };
+  vcluster::SupervisedCluster cluster(spec.nranks, std::move(opts));
 
   // Per-attempt heartbeat board + watchdog. A stall episode first asks
   // the supervisor for an in-place respawn (ladder rung 1); only when the
-  // budget is spent — or the ladder is off — does it request a collective
-  // cancel. Injected stalls are transient, so on the cancel path the
-  // wedged rank wakes, reaches the cancel-check allreduce, and every rank
-  // unwinds together.
+  // budget is spent does it request a collective cancel. Injected stalls
+  // are transient, so on the cancel path the wedged rank wakes, reaches
+  // the cancel-check allreduce, and every rank unwinds together.
   health::HeartbeatBoard board(spec.nranks);
   // Heartbeats stop when the step loop ends, so the post-run epilogue
   // (gather, product assembly) would eventually look like a stall; the
   // done flag keeps such phantom episodes out of the record.
   std::atomic<bool> attemptDone{false};
-  std::unique_ptr<health::Watchdog> dog;
-  if (config_.stallTimeoutSeconds > 0.0)
-    dog = std::make_unique<health::Watchdog>(
-        board, config_.stallTimeoutSeconds,
-        [this, &job, &attemptDone,
-         sup = cluster.get()](const health::StallReport& r) {
-          if (attemptDone.load(std::memory_order_relaxed)) return;
-          recordStall(r);
-          if (sup != nullptr && sup->requestRespawn(r.rank, "stall"))
-            return;
-          job.requestCancel(RequeueCause::Stall);
-        },
-        config_.watchdogPollSeconds, config_.watchdogMissThreshold);
+  health::Watchdog dog(
+      board, config_.stallTimeoutSeconds,
+      [this, &job, &attemptDone, &cluster](const health::StallReport& r) {
+        if (attemptDone.load(std::memory_order_relaxed)) return;
+        recordStall(r);
+        if (cluster.requestRespawn(r.rank, "stall")) return;
+        job.requestCancel(RequeueCause::Stall);
+      },
+      config_.watchdogPollSeconds, config_.watchdogMissThreshold);
 
   io::CheckpointStore checkpoints((fs::path(jobDir) / "ckpt").string());
   const std::string surfacePath =
@@ -574,10 +556,10 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
     dtOverride = job.dtOverride;
   }
 
-  // The same rank function runs under either cluster flavour; after a
-  // respawn the supervisor re-enters it from the top, so the checkpoint
-  // agreement below doubles as the collective recovery fence.
-  const vcluster::ThreadCluster::RankFn rankFn =
+  // After a respawn the supervisor re-enters the rank function from the
+  // top, so the checkpoint agreement below doubles as the collective
+  // recovery fence.
+  const vcluster::SupervisedCluster::RankFn rankFn =
       [&](vcluster::Communicator& comm) {
         // Concurrent jobs share one telemetry session sized to the core
         // budget: shift this job's ranks onto its lease's slot range, and
@@ -595,9 +577,6 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
         config.health.enabled = true;
         config.health.monitor.everySteps = spec.healthEverySteps;
         config.health.maxRollbacks = spec.maxRollbacks;
-        config.health.stallTimeoutSeconds = config_.stallTimeoutSeconds;
-        config.health.watchdogMissThreshold = config_.watchdogMissThreshold;
-        config.health.respawnBudget = config_.respawnBudget;
         config.health.heartbeats = &board;
         config.telemetry.emitAggregates = false;
 
@@ -647,15 +626,14 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
         if (spec.checkpointEverySteps > 0) {
           solver->attachCheckpoints(&checkpoints,
                                     spec.checkpointEverySteps);
-          if (useBuddies)
-            solver->attachBuddies(&buddies, spec.checkpointEverySteps);
+          solver->attachBuddies(&buddies, spec.checkpointEverySteps);
           // Collective resume agreement: restart only when EVERY rank has
           // a valid generation somewhere — on disk or in buddy memory (a
           // fresh job has none anywhere). After a respawn every rank
           // re-enters here, so this allreduce is the recovery fence.
           std::int64_t have =
               checkpoints.newestValidStep(comm.rank()).has_value() ? 1 : 0;
-          if (useBuddies && buddies.newestStep(comm.rank()).has_value())
+          if (buddies.newestStep(comm.rank()).has_value())
             have = 1;
           if (comm.allreduce(have, vcluster::ReduceOp::Min) == 1)
             solver->restart();
@@ -696,12 +674,9 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
         }
       };
 
-  if (cluster != nullptr)
-    cluster->run(rankFn);
-  else
-    vcluster::ThreadCluster::run(spec.nranks, rankFn);
+  cluster.run(rankFn);
   attemptDone.store(true, std::memory_order_relaxed);
-  if (dog) dog->stop();
+  dog.stop();
 
   ScenarioProducts products;
   products.specHash = job.hash;
@@ -716,10 +691,10 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
   // Wave products from the canonical bytes on disk.
   products.dt = job.lastDt.load(std::memory_order_relaxed);
   auto surfaceBytes = readFileBytes(surfacePath);
-  const std::size_t stepFloats = 3 * spec.dims.nx * spec.dims.ny;
-  products.blobs.emplace_back("pgvh.bin",
-                              ArtifactBlob::fromBytes(derivePgvh(
-                                  surfaceBytes, stepFloats)));
+  const core::SurfaceLayout layout(spec.dims.nx, spec.dims.ny, spec.dims.nz,
+                                   spec.nranks);
+  products.blobs.emplace_back(
+      "pgvh.bin", ArtifactBlob::fromBytes(derivePgvh(surfaceBytes, layout)));
   products.blobs.emplace_back(
       "surface.bin", ArtifactBlob::fromBytes(std::move(surfaceBytes)));
   return products;

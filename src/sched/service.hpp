@@ -50,20 +50,18 @@ struct ServiceConfig {
   AdmissionQueue::AdmitPolicy admitPolicy =
       AdmissionQueue::AdmitPolicy::Reject;
   int maxRetries = 2;               // requeues before a job is poison
-  double stallTimeoutSeconds = 30.0;  // per-attempt watchdog (0 = off)
+  double stallTimeoutSeconds = 30.0;  // per-attempt watchdog (> 0)
   double watchdogPollSeconds = 0.05;
   int cancelCheckEverySteps = 2;    // collective cancel-poll cadence
   double retryDtTighten = 0.5;      // dt scale on fatal-verdict requeue
   // Recovery ladder (every attempt): in-place rank respawns allowed per
   // attempt before a loss escalates to cancel-and-requeue. Separate from
   // maxRetries — a respawn repairs the RUNNING attempt; a retry restarts
-  // it. 0 = legacy behaviour (every loss cancels the attempt).
-  int respawnBudget = 1;
-  // Diskless buddy checkpointing at the job's checkpoint cadence: each
-  // rank replicates its state blob to its ring buddy in memory, so a
+  // it. 0 = every loss cancels the attempt. A job that checkpoints also
+  // keeps diskless buddy replicas at its checkpoint cadence, so a
   // respawned rank restores without touching the two-generation disk
   // store (which remains the fallback).
-  bool buddyCheckpoints = true;
+  int respawnBudget = 1;
   // Watchdog debounce: consecutive stalled scans before an episode opens.
   int watchdogMissThreshold = 1;
   bool cacheProducts = true;        // memoize completed scenario products

@@ -1,63 +1,14 @@
 #pragma once
-// SurfaceLayout: the serving tier's replica of the solver's surface-file
-// record layout. WaveSolver::attachSurfaceOutput writes each sampled step
-// as one global record of 3 floats (u, v, w) per surface point, laid out
-// in rank-blocked segments ordered by rank id; within a rank's segment
-// points run row-major with the global j index outer and i inner (see
-// core/solver.cpp observationPhase). The layout is a pure function of
-// (nx, ny, nz, nranks) — both ends compute it independently from the
-// spec, exactly like the paper's explicit-displacement file views
-// (§III.E), so the reader needs no metadata handshake with the writer.
+// The serving tier reads the solver's surface records through the one
+// record-format description, core::SurfaceLayout: the (nx, ny, nz, nranks)
+// constructor mirrors the scenario service's decomposition, and the
+// layout's PGV-H fold is the routine sched's derivePgvh runs, so a map
+// folded window by window equals the pgvh.bin product bit for bit.
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
+#include "core/surface_layout.hpp"
 
 namespace awp::serve {
 
-// One surface rank's contiguous segment of a sample record.
-struct SurfaceSegment {
-  int rank = -1;
-  std::uint64_t offsetFloats = 0;  // displacement within one record
-  std::size_t x0 = 0, y0 = 0;      // global origin of the rank's patch
-  std::size_t lnx = 0, lny = 0;    // patch size in surface points
-};
-
-class SurfaceLayout {
- public:
-  // Mirrors the decomposition the scenario service runs wave jobs with:
-  // CartTopology::balancedDims(nranks, nx, ny, nz), spatial decimation 1.
-  SurfaceLayout(std::size_t nx, std::size_t ny, std::size_t nz, int nranks);
-
-  [[nodiscard]] std::size_t nx() const { return nx_; }
-  [[nodiscard]] std::size_t ny() const { return ny_; }
-  // Floats per sample record across all surface ranks (3 per point).
-  [[nodiscard]] std::uint64_t stepFloats() const { return stepFloats_; }
-  [[nodiscard]] const std::vector<SurfaceSegment>& segments() const {
-    return segments_;
-  }
-  // Ranks that contribute to the record (sub.z.end == nz), ascending.
-  [[nodiscard]] const std::vector<int>& surfaceRanks() const {
-    return surfaceRanks_;
-  }
-
-  // Fold one sample record (stepFloats() floats, record order) into a
-  // row-major nx*ny field, taking the pointwise max of the horizontal
-  // magnitude sqrt(u^2 + v^2). Float-exact match of the product path's
-  // derivePgvh fold: max is order-independent, so folding sample-by-
-  // sample here equals the post-hoc full-map derivation bit-for-bit.
-  void foldSampleMax(const float* record, float* field) const;
-
-  // Scatter a per-record-position scalar array (one float per surface
-  // point in record order — the pgvh.bin product layout) into a row-major
-  // nx*ny field.
-  void recordToRowMajor(const float* recordScalars, float* field) const;
-
- private:
-  std::size_t nx_, ny_;
-  std::uint64_t stepFloats_ = 0;
-  std::vector<SurfaceSegment> segments_;
-  std::vector<int> surfaceRanks_;
-};
+using SurfaceLayout = core::SurfaceLayout;
 
 }  // namespace awp::serve

@@ -81,7 +81,7 @@ ProductServer::RunState& ProductServer::stateForLocked(
     state->layout = std::make_unique<SurfaceLayout>(
         info.spec.dims.nx, info.spec.dims.ny, info.spec.dims.nz,
         info.spec.nranks);
-    state->accum.assign(state->layout->nx() * state->layout->ny(), 0.0f);
+    state->accum.assign(state->layout->stepFloats() / 3, 0.0f);
     it = runs_.emplace(info.specHash, std::move(state)).first;
   }
   if (!info.surfacePath.empty()) it->second->surfacePath = info.surfacePath;
@@ -104,7 +104,7 @@ bool ProductServer::foldRangeLocked(RunState& state, std::uint64_t upTo) {
             static_cast<std::streamsize>(stepBytes));
     if (in.gcount() != static_cast<std::streamsize>(stepBytes))
       return false;  // durable range not visible yet; retry on next flush
-    state.layout->foldSampleMax(record.data(), state.accum.data());
+    state.layout->foldPgvh(record.data(), state.accum.data());
     state.folded = s + 1;
   }
   return true;
@@ -121,6 +121,8 @@ std::vector<TileDelta> ProductServer::publishTilesLocked(
   all.y0 = 0;
   all.x1 = nx;
   all.y1 = ny;
+  std::vector<float> field(nx * ny);
+  state.layout->recordToRowMajor(state.accum.data(), field.data());
   std::vector<float> payload;
   forEachTile(all, nx, ny, edge, [&](int tx, int ty) {
     TileKey key;
@@ -132,7 +134,7 @@ std::vector<TileDelta> ProductServer::publishTilesLocked(
     payload.resize(ext.width() * ext.height());
     for (std::size_t y = ext.y0; y < ext.y1; ++y)
       std::memcpy(payload.data() + (y - ext.y0) * ext.width(),
-                  state.accum.data() + ext.x0 + nx * y,
+                  field.data() + ext.x0 + nx * y,
                   ext.width() * sizeof(float));
     if (!forceAll) {
       // Skip tiles whose stored content already matches: a window that
@@ -181,8 +183,8 @@ void ProductServer::onWindowFlush(const sched::SurfaceRunInfo& info,
     // The partial map is only correct up to the slowest surface rank's
     // durable prefix.
     std::uint64_t v = std::numeric_limits<std::uint64_t>::max();
-    for (const int r : state.layout->surfaceRanks()) {
-      const auto it = state.durableByRank.find(r);
+    for (const core::SurfaceBlock& block : state.layout->blocks()) {
+      const auto it = state.durableByRank.find(block.rank);
       v = std::min(v, it == state.durableByRank.end() ? 0 : it->second);
     }
     if (v == std::numeric_limits<std::uint64_t>::max() ||
@@ -219,14 +221,12 @@ void ProductServer::onScenarioComplete(const sched::SurfaceRunInfo& info,
   {
     std::lock_guard<std::mutex> lock(stateMu_);
     RunState& state = stateForLocked(info);
-    const std::uint64_t points = state.layout->stepFloats() / 3;
-    if (pgvh->bytes.size() != points * sizeof(float)) return;
+    if (pgvh->bytes.size() != state.accum.size() * sizeof(float)) return;
     if (!state.complete) {
       // The canonical product replaces whatever was folded: handles taint,
       // dropped windows, and handoff re-runs in one deterministic step.
-      state.layout->recordToRowMajor(
-          reinterpret_cast<const float*>(pgvh->bytes.data()),
-          state.accum.data());
+      std::memcpy(state.accum.data(), pgvh->bytes.data(),
+                  pgvh->bytes.size());
       const sched::ArtifactBlob* surface = products.find("surface.bin");
       const std::uint64_t stepBytes =
           state.layout->stepFloats() * sizeof(float);
@@ -372,7 +372,8 @@ std::optional<PartialMap> ProductServer::partialMap(
   map.version = state.folded;
   map.complete = state.complete;
   map.tainted = state.tainted;
-  map.values = state.accum;
+  map.values.resize(map.nx * map.ny);
+  state.layout->recordToRowMajor(state.accum.data(), map.values.data());
   return map;
 }
 

@@ -8,6 +8,9 @@
 // window by sample window from the step-indexed surface file as ranks
 // flush, and published as fixed-size content-addressed tiles at
 // step-derived versions (version == number of surface samples folded).
+// The accumulator stays in pgvh.bin record order and each window runs the
+// same SurfaceLayout::foldPgvh as the post-hoc product; it is scattered
+// to row-major only to cut tiles or answer partialMap.
 // A mid-run scenario therefore already serves a partial map; queries
 // carry per-scenario staleness metadata saying exactly which window each
 // answer includes.
@@ -166,7 +169,7 @@ class ProductServer final : public sched::ProductPublisher {
     std::map<int, std::uint64_t> durableByRank;
     std::uint64_t folded = 0;      // samples folded into accum
     std::uint64_t windowMark = 0;  // folded count at last publish attempt
-    std::vector<float> accum;      // row-major nx*ny partial PGV-H
+    std::vector<float> accum;      // partial PGV-H, pgvh.bin record order
     bool tainted = false;
     bool complete = false;
     std::uint64_t totalSamples = 0;

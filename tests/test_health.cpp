@@ -617,23 +617,22 @@ TEST(RuntimeConfigHealth, ParsesHealthKeys) {
       "health_interval = 10\n"
       "health_max_rollbacks = 2\n"
       "health_dt_tighten = 0.25\n"
-      "health_growth_limit = 50\n"
-      "health_stall_timeout = 5.5\n");
+      "health_growth_limit = 50\n");
   const auto& h = config.solver.health;
   EXPECT_TRUE(h.enabled);
   EXPECT_EQ(h.monitor.everySteps, 10);
   EXPECT_EQ(h.maxRollbacks, 2);
   EXPECT_DOUBLE_EQ(h.dtTighten, 0.25);
   EXPECT_DOUBLE_EQ(h.monitor.growthLimit, 50.0);
-  EXPECT_DOUBLE_EQ(h.stallTimeoutSeconds, 5.5);
 }
 
 TEST(RuntimeConfigHealth, RejectsInvalidValues) {
   EXPECT_THROW(core::parseRuntimeConfig("health_dt_tighten = 1.5\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("health_interval = 0\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("health_growth_limit = 1\n"), Error);
-  EXPECT_THROW(core::parseRuntimeConfig("health_stall_timeout = -1\n"),
-               Error);
+  EXPECT_THROW(
+      core::parseRuntimeConfig("health_watchdog_miss_threshold = 0\n"),
+      Error);
 }
 
 TEST(RuntimeConfigHealth, ParsesRewidenAndTelemetryKeys) {

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
 #include "analysis/products.hpp"
 #include "core/runtime_config.hpp"
 #include "core/solver.hpp"
+#include "core/surface_layout.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 #include "vcluster/cluster.hpp"
@@ -252,9 +255,9 @@ TEST(Products, SurfaceSnapshotMatchesMonitor) {
     }
   });
 
-  const auto layout = analysis::surfaceLayoutFor(topo, dims, 1);
-  EXPECT_EQ(layout.gnx, 32u);
-  EXPECT_EQ(layout.stepFloats, 3ull * 32 * 32);
+  const core::SurfaceLayout layout(topo, dims, 1);
+  EXPECT_EQ(layout.nx(), 32u);
+  EXPECT_EQ(layout.stepFloats(), 3ull * 32 * 32);
 
   io::SharedFile file(path, io::SharedFile::Mode::Read);
   const std::size_t samples = layout.sampleCount(file.size());
@@ -273,11 +276,85 @@ TEST(Products, SurfaceSnapshotMatchesMonitor) {
   EXPECT_THROW(analysis::readSurfaceSnapshot(path, layout, samples), Error);
 
   // A PGM of the snapshot is writable.
-  analysis::writePgm(late, layout.gnx, layout.gny,
+  analysis::writePgm(late, layout.nx(), layout.ny(),
                      (dir / "snap.pgm").string());
   EXPECT_TRUE(std::filesystem::exists(dir / "snap.pgm"));
   std::filesystem::remove_all(dir);
   (void)finalU;
+}
+
+TEST(Products, DecimatedSnapshotMatchesTopPlane) {
+  // 2x2x1 ranks on an uneven 33x30 surface with spatial decimation 2: the
+  // rank blocks are 9/8 decimated points wide and 8/7 deep, so their
+  // record displacements differ. Every decimated point of the last sample
+  // read back through the layout must equal |v| taken straight from the
+  // owning rank's top plane at the end of the run.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("awp_dec_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "surface.bin").string();
+
+  const grid::GridDims dims{33, 30, 12};
+  const CartTopology topo(Dims3{2, 2, 1});
+  const core::SurfaceLayout layout(topo, dims, 2);
+  ASSERT_EQ(layout.nx(), 17u);
+  ASSERT_EQ(layout.ny(), 15u);
+  ASSERT_EQ(layout.blocks().size(), 4u);
+
+  // Samples at steps 0, 5, ..., 40: the last one is the final state.
+  constexpr std::size_t kSteps = 41;
+  constexpr int kEvery = 5;
+  std::vector<float> expected(layout.nx() * layout.ny(), -1.0f);
+  ThreadCluster::run(4, [&](vcluster::Communicator& comm) {
+    core::SolverConfig config;
+    config.globalDims = dims;
+    config.h = 400.0;
+    core::WaveSolver solver(comm, topo, config,
+                            vmodel::Material{5000.0f, 2900.0f, 2700.0f});
+    io::SharedFile file(path, io::SharedFile::Mode::Write);
+    core::SurfaceOutputConfig surf;
+    surf.file = &file;
+    surf.sampleEverySteps = kEvery;
+    surf.spatialDecimation = 2;
+    surf.flushEverySamples = 3;
+    solver.attachSurfaceOutput(surf);
+    solver.addSource(core::explosionPointSource(
+        16, 15, 6,
+        core::rickerWavelet(3.0, 0.4, solver.config().dt, kSteps, 1e15)));
+    solver.run(kSteps);
+
+    // Each rank fills the decimated points it owns (disjoint elements).
+    const auto& g = solver.grid();
+    const auto& geom = solver.geometry();
+    const std::size_t top = grid::kHalo + g.dims().nz - 1;
+    for (std::size_t j = grid::kHalo; j < grid::kHalo + g.dims().ny; ++j)
+      for (std::size_t i = grid::kHalo; i < grid::kHalo + g.dims().nx; ++i) {
+        const std::size_t gx = geom.globalX(i);
+        const std::size_t gy = geom.globalY(j);
+        if (gx % 2 != 0 || gy % 2 != 0) continue;
+        const float u = g.u(i, j, top);
+        const float v = g.v(i, j, top);
+        const float w = g.w(i, j, top);
+        expected[gx / 2 + layout.nx() * (gy / 2)] =
+            std::sqrt(u * u + v * v + w * w);
+      }
+  });
+
+  io::SharedFile file(path, io::SharedFile::Mode::Read);
+  EXPECT_EQ(file.size(), 9 * layout.stepFloats() * sizeof(float));
+  const std::size_t samples = layout.sampleCount(file.size());
+  ASSERT_EQ(samples, 9u);
+  const auto snapshot =
+      analysis::readSurfaceSnapshot(path, layout, samples - 1);
+  ASSERT_EQ(snapshot.size(), expected.size());
+  float peak = 0.0f;
+  for (std::size_t p = 0; p < expected.size(); ++p) {
+    ASSERT_GE(expected[p], 0.0f) << "decimated point " << p << " unowned";
+    EXPECT_EQ(snapshot[p], expected[p]) << "decimated point " << p;
+    peak = std::max(peak, expected[p]);
+  }
+  EXPECT_GT(peak, 0.0f);  // the wave reached the surface
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
