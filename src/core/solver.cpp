@@ -10,6 +10,7 @@
 #include "fault/injector.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "util/error.hpp"
+#include "util/fp_env.hpp"
 #include "util/hot.hpp"
 #include "util/timer.hpp"
 
@@ -331,9 +332,18 @@ AWP_HOT void WaveSolver::step() {
   // step behind its neighbors (which beat, then block in the halo
   // exchange), so the watchdog can name the origin of a stall.
   if (guard_) guard_->beat(comm_.rank(), step_);
-  velocityPhase();
-  if (fault_) fault_->afterVelocity(*grid_, step_);
-  stressPhase();
+  {
+    // The field-advancing phases run with subnormals flushed: the
+    // wavefront's subnormal fringe would otherwise cost ~30-40x per point
+    // for the first few dozen steps. Observation (PGV-H fold, surface
+    // output, checkpoint veto) and the caller's health scan stay in the
+    // caller's IEEE environment, so the serving tier's incremental fold
+    // and the post-hoc fold run the same code in the same mode.
+    const ScopedFlushDenormals flush;
+    velocityPhase();
+    if (fault_) fault_->afterVelocity(*grid_, step_);
+    stressPhase();
+  }
   observationPhase();
   ++step_;
 }

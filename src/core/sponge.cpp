@@ -65,7 +65,9 @@ AWP_HOT void SpongeLayer::apply(grid::StaggeredGrid& g) const {
         if (fjk == 1.0f) {
           // Only x damping (or none) on this row: touch the damped cells
           // alone. The rest would be multiplied by exactly 1.0f, which
-          // leaves every float (subnormals included, no FTZ) unchanged.
+          // leaves every normal float unchanged. Under the step's FTZ/DAZ
+          // guard (util/fp_env.hpp) the kernels never write a subnormal,
+          // so there is none here for the skipped multiply to flush.
           for (const auto& [i0, i1] : xDamped_)
             for (std::size_t i = i0; i < i1; ++i) row[i] *= fx_[i];
         } else {

@@ -34,8 +34,10 @@ void ThreadPool::workerLoop(std::size_t index) {
       seen = generation_;
       task = tasks_[index];
     }
-    if (task.fn != nullptr && task.begin < task.end)
+    if (task.fn != nullptr && task.begin < task.end) {
+      const ScopedFpControlWord fp(task.fpControl);
       (*task.fn)(task.begin, task.end);
+    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --pending_;
@@ -53,6 +55,7 @@ void ThreadPool::parallelFor(
   const std::size_t chunk = (n + parts - 1) / parts;
 
   Task mine{};
+  const FpControlWord fp = fpControlWord();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     std::size_t at = begin;
@@ -60,6 +63,7 @@ void ThreadPool::parallelFor(
       tasks_[w].begin = std::min(at, end);
       tasks_[w].end = std::min(at + chunk, end);
       tasks_[w].fn = &fn;
+      tasks_[w].fpControl = fp;
       at += chunk;
     }
     mine.begin = std::min(at, end);

@@ -4,6 +4,9 @@
 // spawned from a single MPI process, directly access shared memory within
 // a node"). One pool per rank; parallelFor splits an index range into
 // contiguous chunks, one per worker, and blocks until all complete.
+// Each chunk runs under the caller's floating-point control word
+// (util/fp_env.hpp), so a flushing caller gets the same bits from any
+// number of workers.
 
 #include <condition_variable>
 #include <cstddef>
@@ -12,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/fp_env.hpp"
 #include "util/guarded.hpp"
 
 namespace awp {
@@ -37,6 +41,7 @@ class ThreadPool {
   struct Task {
     std::size_t begin = 0, end = 0;
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    FpControlWord fpControl = 0;  // the caller's, captured per parallelFor
   };
 
   void workerLoop(std::size_t index);

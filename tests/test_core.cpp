@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "core/solver.hpp"
 #include "mesh/partitioner.hpp"
+#include "util/fp_env.hpp"
 #include "util/md5.hpp"
 #include "vcluster/cluster.hpp"
 
@@ -308,7 +311,9 @@ struct GoldenCase {
   Dims3 dims{1, 1, 1};
 };
 
-std::string goldenWavefieldMd5(const GoldenCase& gc) {
+// Interiors of u, v, w, xx, yy, zz, xy, xz, yz in global x-fastest order
+// after `steps` steps.
+std::vector<float> goldenWavefield(const GoldenCase& gc, std::size_t steps) {
   const grid::GridDims dims{24, 20, 16};
   SolverConfig config;
   config.globalDims = dims;
@@ -322,7 +327,6 @@ std::string goldenWavefieldMd5(const GoldenCase& gc) {
   config.kernels.unrolled = gc.unrolled;
   config.hybridThreads = gc.threads;
 
-  // Interiors of u, v, w, xx, yy, zz, xy, xz, yz in global x-fastest order.
   const FieldId kFields[] = {FieldId::U,  FieldId::V,  FieldId::W,
                              FieldId::XX, FieldId::YY, FieldId::ZZ,
                              FieldId::XY, FieldId::XZ, FieldId::YZ};
@@ -354,7 +358,7 @@ std::string goldenWavefieldMd5(const GoldenCase& gc) {
         11, 9, 8, rickerWavelet(4.0, 0.4, dt, 60, 1e15)));
     solver.addSource(strikeSlipPointSource(
         6, 13, 10, rickerWavelet(3.0, 0.5, dt, 60, 5e14)));
-    solver.run(60);
+    solver.run(steps);
     const auto& g = solver.grid();
     const auto& geo = solver.geometry();
     for (std::size_t f = 0; f < 9; ++f) {
@@ -370,6 +374,11 @@ std::string goldenWavefieldMd5(const GoldenCase& gc) {
           }
     }
   });
+  return global;
+}
+
+std::string goldenWavefieldMd5(const GoldenCase& gc) {
+  const std::vector<float> global = goldenWavefield(gc, 60);
   return Md5::hexDigest(global.data(), global.size() * sizeof(float));
 }
 
@@ -412,6 +421,59 @@ TEST(Kernels, GoldenWavefield) {
   split.dims = Dims3{2, 2, 1};
   EXPECT_EQ(goldenWavefieldMd5(split), "97543965f0b45e31b281915cca3c9149")
       << "2x2x1";
+}
+
+// The golden case stopped inside its subnormal wavefront transient: in
+// IEEE arithmetic 9, 29 and 7 interior values are subnormal after steps
+// 10, 11 and 12. The step flushes subnormals (util/fp_env.hpp), so no
+// interior value may be subnormal, and the hybrid pool's workers run their
+// chunks under the caller's control word, so two threads must still
+// reproduce the pure run bit for bit.
+TEST(Kernels, HybridMatchesPureThroughSubnormalTransient) {
+  for (const std::size_t steps : {10u, 11u, 12u}) {
+    SCOPED_TRACE(::testing::Message() << "steps " << steps);
+    GoldenCase pure;
+    GoldenCase hybrid;
+    hybrid.threads = 2;
+    const std::vector<float> a = goldenWavefield(pure, steps);
+    const std::vector<float> b = goldenWavefield(hybrid, steps);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+    EXPECT_EQ(std::count_if(a.begin(), a.end(),
+                            [](float v) {
+                              return std::fpclassify(v) == FP_SUBNORMAL;
+                            }),
+              0);
+  }
+}
+
+TEST(WaveSolver, StepRestoresCallerFloatEnvironment) {
+  // The flush is scoped to the field-advancing phases: the caller's
+  // control word holds between steps (where onStep and the health scan
+  // run) and after run() returns.
+  const FpControlWord caller = fpControlWord();
+  ThreadCluster::run(1, [&](vcluster::Communicator& comm) {
+    CartTopology topo(Dims3{1, 1, 1});
+    SolverConfig config;
+    config.globalDims = {16, 12, 10};
+    config.h = 600.0;
+    config.spongeWidth = 3;
+    config.health.enabled = true;
+    config.health.monitor.everySteps = 2;
+    WaveSolver solver(comm, topo, config,
+                      vmodel::Material{5200.0f, 3000.0f, 2700.0f});
+    solver.addSource(explosionPointSource(
+        8, 6, 5, rickerWavelet(2.0, 0.5, solver.dt(), 10, 1e15)));
+    const FpControlWord rankCaller = fpControlWord();
+    std::size_t checked = 0;
+    solver.run(10, [&](std::size_t) {
+      EXPECT_EQ(fpControlWord(), rankCaller);
+      ++checked;
+    });
+    EXPECT_EQ(checked, 10u);
+    EXPECT_EQ(fpControlWord(), rankCaller);
+  });
+  EXPECT_EQ(fpControlWord(), caller);
 }
 
 // Convergence-order gate, in the style of a linear-wave regression: plane
