@@ -959,7 +959,7 @@ TEST(ScenarioService, RunsRuptureScenarioToFaultHistoryProduct) {
   const auto decoded = deserializeFaultHistory(history->bytes);
   EXPECT_GT(decoded.dt, 0.0);
   // Golden pin of the product bytes.
-  EXPECT_EQ(history->md5Hex, "e6f7da01f602d1df68171fea85c56275");
+  EXPECT_EQ(history->md5Hex, "ad84c1e451e4478f915927a2c43b1472");
 
   const auto report = service.report();
   ASSERT_EQ(report.jobs.size(), 1u);
@@ -980,9 +980,9 @@ TEST(ScenarioService, WaveProductBytesArePinnedAtTwoDecompositions) {
     const char* pgvhMd5;
   };
   const Pin pins[] = {
-      {2, "fb8c27c2072c009607ac13d0a34a08ec",
+      {2, "05f316c999b09452772a3b50ccfaa08a",
        "c0dcfd2e85d067bb253150103bd7f007"},
-      {4, "e81a2af4ae74d35e9004bac2b055c125",
+      {4, "f92c7b600e3c1f6e52cf718983035f47",
        "d6bf279209a53889b5623cb191edec06"},
   };
   for (const Pin& pin : pins) {
