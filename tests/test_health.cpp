@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include "core/runtime_config.hpp"
@@ -365,6 +368,111 @@ TEST(Monitor, NamesTheFirstNonFiniteSample) {
   EXPECT_EQ(r.field, "xy");
   EXPECT_NE(r.detail.find("non-finite xy"), std::string::npos);
   EXPECT_NE(r.detail.find("(3,1,2)"), std::string::npos);
+}
+
+// The scalar, early-exit scan the vectorized FieldMonitor::scan replaced,
+// kept as its oracle: the first non-finite sample in field order (u, v, w,
+// then the stresses) and the peak |velocity| over the velocity samples
+// before it.
+health::ScanResult exactScanOracle(const grid::StaggeredGrid& g) {
+  using grid::kHalo;
+  const auto& d = g.dims();
+  const std::pair<const Array3f*, const char*> fields[] = {
+      {&g.u, "u"},   {&g.v, "v"},   {&g.w, "w"},
+      {&g.xx, "xx"}, {&g.yy, "yy"}, {&g.zz, "zz"},
+      {&g.xy, "xy"}, {&g.xz, "xz"}, {&g.yz, "yz"}};
+  health::ScanResult r;
+  for (std::size_t n = 0; n < 9; ++n)
+    for (std::size_t k = kHalo; k < kHalo + d.nz; ++k)
+      for (std::size_t j = kHalo; j < kHalo + d.ny; ++j)
+        for (std::size_t i = kHalo; i < kHalo + d.nx; ++i) {
+          const float v = (*fields[n].first)(i, j, k);
+          if (!std::isfinite(v)) {
+            r.verdict = health::Verdict::Fatal;
+            r.field = fields[n].second;
+            r.i = i;
+            r.j = j;
+            r.k = k;
+            r.value = static_cast<double>(v);
+            std::ostringstream os;
+            os << "non-finite " << r.field << " = " << r.value
+               << " at local (" << i - kHalo << "," << j - kHalo << ","
+               << k - kHalo << ")";
+            r.detail = os.str();
+            return r;
+          }
+          if (n < 3)
+            r.peakVelocity =
+                std::max(r.peakVelocity, static_cast<double>(std::fabs(v)));
+        }
+  return r;
+}
+
+TEST(FieldMonitor, FastScanMatchesExactScan) {
+  using grid::kHalo;
+  // nx = 13: no vector width divides the row, so the last interior cell of
+  // each row falls in the vector loop's remainder.
+  const grid::GridDims d{13, 5, 4};
+  const float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             -0.0f,
+                             std::numeric_limits<float>::denorm_min(),
+                             -3.0f * std::numeric_limits<float>::denorm_min(),
+                             std::numeric_limits<float>::max(),
+                             -std::numeric_limits<float>::max()};
+  // First and last interior cell of the first and last interior row.
+  const std::size_t kCells[][3] = {
+      {kHalo, kHalo, kHalo},
+      {kHalo + d.nx - 1, kHalo, kHalo},
+      {kHalo, kHalo + d.ny - 1, kHalo + d.nz - 1},
+      {kHalo + d.nx - 1, kHalo + d.ny - 1, kHalo + d.nz - 1}};
+  const grid::FieldId kFields[] = {
+      grid::FieldId::U,  grid::FieldId::V,  grid::FieldId::W,
+      grid::FieldId::XX, grid::FieldId::YY, grid::FieldId::ZZ,
+      grid::FieldId::XY, grid::FieldId::XZ, grid::FieldId::YZ};
+  std::size_t cases = 0;
+  // A signed background, and an all-zero one where a subnormal or -0 is
+  // the peak itself.
+  for (const bool zeroBackground : {false, true})
+    for (const grid::FieldId id : kFields)
+      for (const float special : kSpecials)
+        for (const auto& cell : kCells) {
+          grid::StaggeredGrid g(d, 100.0, 0.001);
+          g.setUniformMaterial({5000.0f, 2900.0f, 2700.0f});
+          for (const grid::FieldId f : kFields) {
+            float* a = g.field(f).data();
+            for (std::size_t n = 0; n < g.field(f).size(); ++n)
+              a[n] = zeroBackground
+                         ? 0.0f
+                         : static_cast<float>(static_cast<int>(
+                               (n * 37 + static_cast<std::size_t>(f) * 11) %
+                               101) - 50) * 1e-3f;
+          }
+          g.field(id)(cell[0], cell[1], cell[2]) = special;
+          SCOPED_TRACE(::testing::Message()
+                       << "field " << static_cast<int>(id) << " value "
+                       << special << " at (" << cell[0] << "," << cell[1]
+                       << "," << cell[2] << ") zero=" << zeroBackground);
+
+          health::FieldMonitor monitor({});
+          const health::ScanResult got = monitor.scan(g);
+          const health::ScanResult want = exactScanOracle(g);
+          EXPECT_EQ(got.verdict, want.verdict);
+          EXPECT_EQ(got.detail, want.detail);
+          EXPECT_EQ(got.field, want.field);
+          EXPECT_EQ(got.i, want.i);
+          EXPECT_EQ(got.j, want.j);
+          EXPECT_EQ(got.k, want.k);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value),
+                    std::bit_cast<std::uint64_t>(want.value));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.peakVelocity),
+                    std::bit_cast<std::uint64_t>(want.peakVelocity));
+          EXPECT_EQ(health::FieldMonitor::allFinite(g),
+                    want.verdict == health::Verdict::Healthy);
+          ++cases;
+        }
+  EXPECT_EQ(cases, 2u * 9u * 8u * 4u);
 }
 
 // --- checkpoint generation inspection --------------------------------------
