@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/array3.hpp"
@@ -251,6 +254,98 @@ TEST(Md5, DigestTwiceThrows) {
   h.update("x", 1);
   h.digest();
   EXPECT_THROW(h.digest(), Error);
+}
+
+// The table-driven RFC 1321 loop Md5::processBlock used before it was
+// unrolled, with the byte-at-a-time buffering and padding: the oracle the
+// unrolled digest must match bit for bit.
+std::string referenceLoopMd5(const std::uint8_t* data, std::size_t len) {
+  static constexpr int kShift[64] = {
+      7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
+      5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
+      4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
+      6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+  std::uint32_t sine[64];
+  for (int i = 0; i < 64; ++i)
+    sine[i] = static_cast<std::uint32_t>(
+        std::floor(4294967296.0 * std::abs(std::sin(i + 1.0))));
+  std::uint32_t state[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
+                            0x10325476u};
+  auto rotl = [](std::uint32_t x, int c) {
+    return (x << c) | (x >> (32 - c));
+  };
+  auto block = [&](const std::uint8_t* blk) {
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i)
+      m[i] = static_cast<std::uint32_t>(blk[4 * i]) |
+             (static_cast<std::uint32_t>(blk[4 * i + 1]) << 8) |
+             (static_cast<std::uint32_t>(blk[4 * i + 2]) << 16) |
+             (static_cast<std::uint32_t>(blk[4 * i + 3]) << 24);
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t f = 0;
+      int g = 0;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      const std::uint32_t tmp = d;
+      d = c;
+      c = b;
+      b = b + rotl(a + f + sine[i] + m[g], kShift[i]);
+      a = tmp;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+  };
+  std::vector<std::uint8_t> msg(data, data + len);
+  msg.push_back(0x80);
+  while (msg.size() % 64 != 56) msg.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(len) * 8;
+  for (int i = 0; i < 8; ++i)
+    msg.push_back(static_cast<std::uint8_t>((bits >> (8 * i)) & 0xff));
+  for (std::size_t at = 0; at < msg.size(); at += 64) block(msg.data() + at);
+  std::array<std::uint8_t, 16> out{};
+  for (int i = 0; i < 16; ++i)
+    out[i] = static_cast<std::uint8_t>((state[i / 4] >> (8 * (i % 4))) & 0xff);
+  return Md5::toHex(out);
+}
+
+TEST(Md5, UnrolledMatchesReferenceLoop) {
+  Rng rng(20240611);
+  std::vector<std::uint8_t> data;
+  // Random lengths fed in random chunk sizes: chunks below, at and above
+  // 64 B mix the buffered tail with whole blocks hashed from the input.
+  for (int trial = 0; trial < 3000; ++trial) {
+    data.resize(rng.below(5001));
+    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.nextU64());
+    Md5 h;
+    std::size_t at = 0;
+    while (at < data.size()) {
+      const std::size_t chunk =
+          std::min<std::size_t>(1 + rng.below(200), data.size() - at);
+      h.update(data.data() + at, chunk);
+      at += chunk;
+    }
+    ASSERT_EQ(Md5::toHex(h.digest()),
+              referenceLoopMd5(data.data(), data.size()))
+        << "trial " << trial << ", " << data.size() << " bytes";
+  }
+  data.resize(std::size_t{10} << 20);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.nextU64());
+  EXPECT_EQ(Md5::hexDigest(data.data(), data.size()),
+            referenceLoopMd5(data.data(), data.size()));
 }
 
 TEST(Butterworth, PassesDcBlocksHighFrequency) {
