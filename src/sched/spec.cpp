@@ -271,16 +271,19 @@ const ArtifactBlob* ScenarioProducts::find(const std::string& name) const {
 }
 
 std::vector<std::byte> ScenarioProducts::serialize() const {
-  auto sorted = blobs;
+  std::vector<const std::pair<std::string, ArtifactBlob>*> sorted;
+  sorted.reserve(blobs.size());
+  for (const auto& entry : blobs) sorted.push_back(&entry);
   std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto* a, const auto* b) { return a->first < b->first; });
   std::vector<std::byte> out;
   putBytes(out, kProductMagic, sizeof(kProductMagic));
   putString(out, specHash);
   putU64(out, completedSteps);
   putF64(out, dt);
   putU64(out, sorted.size());
-  for (const auto& [name, blob] : sorted) {
+  for (const auto* entry : sorted) {
+    const auto& [name, blob] = *entry;
     putString(out, name);
     putString(out, blob.md5Hex);
     putU64(out, blob.bytes.size());
