@@ -50,11 +50,10 @@ HazardFabric::HazardFabric(FabricConfig config) : config_(std::move(config)) {
     config_.rootDir = (fs::temp_directory_path() / "awp-fabric").string();
   fs::create_directories(fs::path(config_.rootDir) / "cache");
 
-  // One ProductServer over the shared cache tier: tile chunks dedupe
-  // against each other (and coexist with memoized products) in the same
-  // content-addressed directory every broker already shares.
-  serveCache_ = std::make_unique<sched::ArtifactCache>(
-      (fs::path(config_.rootDir) / "cache").string());
+  // One ProductServer over a memory-only cache: tile chunks dedupe against
+  // each other in memory. The tile index was never persistent, so a chunk
+  // file could not be found again; tiles are rebuilt from pgvh.bin.
+  serveCache_ = std::make_unique<sched::ArtifactCache>();
   server_ =
       std::make_unique<serve::ProductServer>(serveCache_.get(), config_.serve);
 

@@ -65,7 +65,7 @@ struct FabricConfig {
   // degraded-mode serving both need the shared product tier).
   sched::ServiceConfig service;
   // Serving-tier knobs (serve_* keys). The fabric owns one ProductServer
-  // over the shared cache tier; every broker publishes into it.
+  // over a memory-only chunk cache; every broker publishes into it.
   serve::ServeConfig serve;
 
   static FabricConfig fromRuntime(const core::RuntimeConfig& rc);
@@ -182,10 +182,10 @@ class HazardFabric {
   std::unique_ptr<HashRing> ring_;
   std::unique_ptr<FabricTransport> transport_;
   std::unique_ptr<SubmissionLog> log_;
-  // Serving tier: the chunk cache shares the brokers' on-disk cache dir,
-  // so tile chunks and memoized products live in one content-addressed
-  // tier. Declared before brokers_ — broker services publish into the
-  // server, so it must be destroyed after them.
+  // Serving tier: tile chunks live in a memory-only cache; the brokers'
+  // on-disk cache dir holds only products and meshes. Declared before
+  // brokers_ — broker services publish into the server, so it must be
+  // destroyed after them.
   std::unique_ptr<sched::ArtifactCache> serveCache_;
   std::unique_ptr<serve::ProductServer> server_;
   std::vector<std::unique_ptr<Broker>> brokers_;

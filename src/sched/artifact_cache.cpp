@@ -1,12 +1,10 @@
 #include "sched/artifact_cache.hpp"
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 
 #include "util/error.hpp"
 #include "util/md5.hpp"
@@ -26,26 +24,31 @@ std::string ArtifactCache::entryPath(const std::string& key) const {
       .string();
 }
 
+std::optional<std::vector<std::byte>> readFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return std::nullopt;
+  const auto size = static_cast<std::streamsize>(in.tellg());
+  if (size < 0) return std::nullopt;
+  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()), size);
+  if (in.gcount() != size) return std::nullopt;
+  return bytes;
+}
+
 std::optional<std::vector<std::byte>> ArtifactCache::loadDisk(
     const std::string& key) {
   if (directory_.empty()) return std::nullopt;
-  std::ifstream in(entryPath(key), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::array<std::uint8_t, 16> stored{};
-  in.read(reinterpret_cast<char*>(stored.data()),
-          static_cast<std::streamsize>(stored.size()));
-  if (!in) return std::nullopt;
-  std::vector<std::byte> payload;
-  {
-    std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-    payload.resize(raw.size());
-    std::memcpy(payload.data(), raw.data(), raw.size());
-  }
+  auto entry = readFileBytes(entryPath(key));
+  constexpr std::size_t kDigestBytes = 16;
+  if (!entry.has_value() || entry->size() < kDigestBytes) return std::nullopt;
   // Digest-gate the load: torn or corrupted entries are misses.
-  if (Md5::hash(payload.data(), payload.size()) != stored)
+  const auto actual =
+      Md5::hash(entry->data() + kDigestBytes, entry->size() - kDigestBytes);
+  if (std::memcmp(actual.data(), entry->data(), kDigestBytes) != 0)
     return std::nullopt;
-  return payload;
+  entry->erase(entry->begin(), entry->begin() + kDigestBytes);
+  return entry;
 }
 
 void ArtifactCache::storeDisk(const std::string& key,
@@ -125,27 +128,11 @@ void ArtifactCache::put(const std::string& key, std::vector<std::byte> value) {
 
 bool ArtifactCache::putDedup(const std::string& key,
                              std::vector<std::byte> value) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (memory_.count(key) > 0) {
-      accountPutLocked(key, value.size(), /*stored=*/false);
-      return false;
-    }
-  }
-  // The key embeds the payload digest (content addressing), so a disk hit
-  // is the same bytes — promote it and absorb the put.
-  auto fromDisk = loadDisk(key);
-  if (fromDisk.has_value()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    accountPutLocked(key, value.size(), /*stored=*/false);
-    memory_[key] = std::move(*fromDisk);
-    return false;
-  }
-  storeDisk(key, value);
   std::lock_guard<std::mutex> lock(mutex_);
-  accountPutLocked(key, value.size(), /*stored=*/true);
-  memory_[key] = std::move(value);
-  return true;
+  const bool stored = memory_.count(key) == 0;
+  accountPutLocked(key, value.size(), stored);
+  if (stored) memory_.emplace(key, std::move(value));
+  return stored;
 }
 
 std::vector<std::byte> ArtifactCache::getOrCompute(

@@ -72,8 +72,8 @@ class ArtifactCache {
   // Insert/overwrite. Persists to the disk tier when one is configured.
   void put(const std::string& key, std::vector<std::byte> value);
 
-  // Content-addressed insert: skip the store entirely when the key is
-  // already present in either tier (the caller's key embeds the payload
+  // Content-addressed insert into the memory tier only: skip the store
+  // when the key is already present (the caller's key embeds the payload
   // digest, so presence implies identity). Returns true when the value was
   // actually stored, false when absorbed as a dedup hit. This is the
   // chunk-level path the serving tier uses for surface tiles.
@@ -116,5 +116,10 @@ class ArtifactCache {
   std::map<std::string, EntryAccounting> accounting_ AWP_GUARDED_BY(mutex_);
   CacheStats stats_ AWP_GUARDED_BY(mutex_);
 };
+
+// The whole file in one sized read; nullopt when it cannot be opened or
+// read in full.
+[[nodiscard]] std::optional<std::vector<std::byte>> readFileBytes(
+    const std::string& path);
 
 }  // namespace awp::sched

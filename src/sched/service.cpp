@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <optional>
 
 #include "core/solver.hpp"
@@ -60,16 +58,6 @@ std::vector<std::byte> buildGlobalMesh(const ScenarioSpec& spec) {
                                  static_cast<double>(k) * spec.h);
   std::vector<std::byte> bytes(field.size() * sizeof(vmodel::Material));
   std::memcpy(bytes.data(), field.data(), bytes.size());
-  return bytes;
-}
-
-std::vector<std::byte> readFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("sched: cannot read " + path);
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  std::vector<std::byte> bytes(raw.size());
-  std::memcpy(bytes.data(), raw.data(), raw.size());
   return bytes;
 }
 
@@ -691,12 +679,14 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
   // Wave products from the canonical bytes on disk.
   products.dt = job.lastDt.load(std::memory_order_relaxed);
   auto surfaceBytes = readFileBytes(surfacePath);
+  if (!surfaceBytes.has_value())
+    throw Error("sched: cannot read " + surfacePath);
   const core::SurfaceLayout layout(spec.dims.nx, spec.dims.ny, spec.dims.nz,
                                    spec.nranks);
   products.blobs.emplace_back(
-      "pgvh.bin", ArtifactBlob::fromBytes(derivePgvh(surfaceBytes, layout)));
+      "pgvh.bin", ArtifactBlob::fromBytes(derivePgvh(*surfaceBytes, layout)));
   products.blobs.emplace_back(
-      "surface.bin", ArtifactBlob::fromBytes(std::move(surfaceBytes)));
+      "surface.bin", ArtifactBlob::fromBytes(std::move(*surfaceBytes)));
   return products;
 }
 

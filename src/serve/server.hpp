@@ -127,8 +127,8 @@ struct ServerStats {
 
 class ProductServer final : public sched::ProductPublisher {
  public:
-  // `cache` is the chunk storage tier (a fabric passes its shared cache
-  // so overlapping extents dedupe across brokers); must outlive the
+  // `cache` is the chunk storage tier (a fabric passes one memory-only
+  // cache so overlapping extents dedupe across brokers); must outlive the
   // server.
   ProductServer(sched::ArtifactCache* cache, ServeConfig config);
 

@@ -55,11 +55,15 @@ class TileStore {
   // Current version of a tile (0 = never published).
   AWP_HOT std::uint64_t latestVersion(const TileKey& key) const;
 
-  // Load a tile's payload through the cache tier (memory, then disk).
+  // Load a tile's payload through the cache tier.
   [[nodiscard]] std::optional<std::vector<float>> load(
       const TileKey& key) const;
 
   [[nodiscard]] std::size_t tileCount() const;
+  // The chunk tier's accounting (stored vs deduplicated chunks).
+  [[nodiscard]] sched::CacheStats cacheStats() const {
+    return cache_->stats();
+  }
 
  private:
   sched::ArtifactCache* cache_;

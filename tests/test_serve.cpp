@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -701,6 +702,75 @@ TEST(ServingFabric, DegradedBrokerServesCachedProductsReadOnly) {
   EXPECT_EQ(0, std::memcmp(assembled.data(), expected.data(),
                            expected.size() * sizeof(float)));
   fabric.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Tile chunks live in the fabric server's memory tier: the shared on-disk
+// cache holds only the memoized product and the mesh.
+
+TEST(HazardFabric, WaveTilesStayInMemory) {
+  const fs::path root = tempDir("tiles-in-memory");
+  util::resetRetryRegistry();
+  const sched::ScenarioSpec spec = smallWaveSpec(12);
+  const std::size_t nx = spec.dims.nx;
+  const std::size_t ny = spec.dims.ny;
+
+  fabric::FabricConfig config;
+  config.brokers = 1;
+  config.rootDir = root.string();
+  config.service.coreBudget = 4;
+  fabric::HazardFabric fabric(config);
+  DeltaRecorder rec;
+  fabric.subscribeTiles(Field::PgvH, Extent{0, 0, nx, ny}, rec.callback());
+  const fabric::FabricJobHandle job = fabric.submit(spec);
+  fabric.drain();
+  ASSERT_EQ(job->wait(), sched::JobPhase::Completed) << job->error;
+  sched::ScenarioProducts products;
+  {
+    std::lock_guard<std::mutex> lock(job->mu);
+    products = job->products;
+  }
+
+  // Every subscribed tile reached its complete version, and the tiles
+  // assemble bit-identically to the canonical pgvh.bin.
+  const int edge = fabric.productServer().store().tileEdge();
+  {
+    std::lock_guard<std::mutex> lock(rec.mu);
+    EXPECT_TRUE(rec.ordered);
+    for (int ty = 0; static_cast<std::size_t>(ty) * edge < ny; ++ty)
+      for (int tx = 0; static_cast<std::size_t>(tx) * edge < nx; ++tx) {
+        const bool complete = std::any_of(
+            rec.all.begin(), rec.all.end(), [&](const TileDelta& d) {
+              return d.digest == job->digest && d.tx == tx && d.ty == ty &&
+                     d.complete;
+            });
+        EXPECT_TRUE(complete) << "tile " << tx << "," << ty;
+      }
+  }
+  const std::vector<float> expected = canonicalMap(products, spec);
+  const std::vector<float> assembled =
+      assembleFromTiles(fabric.productServer(), job->digest, nx, ny);
+  ASSERT_EQ(assembled.size(), expected.size());
+  EXPECT_EQ(0, std::memcmp(assembled.data(), expected.data(),
+                           expected.size() * sizeof(float)));
+
+  // The chunks were stored (and deduplicated) in the server's cache...
+  const sched::CacheStats chunks =
+      fabric.productServer().store().cacheStats();
+  EXPECT_GT(chunks.puts, 0u);
+  EXPECT_GT(chunks.storedBytes, 0u);
+  EXPECT_GT(chunks.entries, 0u);
+  fabric.shutdown();
+
+  // ...and never reached the shared disk tier, which holds exactly two
+  // entries: the memoized product and the CVM mesh.
+  std::vector<std::string> onDisk;
+  for (const auto& entry : fs::directory_iterator(root / "cache"))
+    onDisk.push_back(entry.path().filename().string());
+  EXPECT_EQ(onDisk.size(), 2u);
+  for (const std::string& name : onDisk)
+    EXPECT_TRUE(name.size() > 5 && name.substr(name.size() - 5) == ".blob")
+        << name;
 }
 
 // ---------------------------------------------------------------------------
