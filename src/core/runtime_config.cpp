@@ -123,10 +123,16 @@ RuntimeConfig parseRuntimeConfig(const std::string& text,
       s.dt = parseDouble(value, lineNo);
     } else if (key == "output_sample_steps") {
       config.output.sampleEverySteps = parseInt(value, lineNo);
+      if (config.output.sampleEverySteps < 1)
+        fail(lineNo, "output_sample_steps must be >= 1");
     } else if (key == "output_decimation") {
       config.output.spatialDecimation = parseInt(value, lineNo);
+      if (config.output.spatialDecimation < 1)
+        fail(lineNo, "output_decimation must be >= 1");
     } else if (key == "output_aggregate") {
       config.output.flushEverySamples = parseInt(value, lineNo);
+      if (config.output.flushEverySamples < 1)
+        fail(lineNo, "output_aggregate must be >= 1");
     } else if (key == "mesh_io") {
       if (value == "prepartitioned") config.meshIo = MeshIoMode::PrePartitioned;
       else if (value == "ondemand") config.meshIo = MeshIoMode::OnDemand;
@@ -152,10 +158,6 @@ RuntimeConfig parseRuntimeConfig(const std::string& text,
       s.health.monitor.growthLimit = parseDouble(value, lineNo);
       if (s.health.monitor.growthLimit <= 1.0)
         fail(lineNo, "health_growth_limit must be > 1");
-    } else if (key == "health_watchdog_miss_threshold") {
-      config.sched.watchdogMissThreshold = parseInt(value, lineNo);
-      if (config.sched.watchdogMissThreshold < 1)
-        fail(lineNo, "health_watchdog_miss_threshold must be >= 1");
     } else if (key == "health_dt_rewiden_window") {
       s.health.dtRewidenWindow = parseInt(value, lineNo);
       if (s.health.dtRewidenWindow < 0)
@@ -164,8 +166,6 @@ RuntimeConfig parseRuntimeConfig(const std::string& text,
       s.health.dtRewiden = parseDouble(value, lineNo);
       if (s.health.dtRewiden <= 1.0)
         fail(lineNo, "health_dt_rewiden must be > 1");
-    } else if (key == "telemetry") {
-      config.telemetryEnabled = parseSwitch(value, lineNo);
     } else if (key == "telemetry_interval") {
       s.telemetry.reportEverySteps = parseInt(value, lineNo);
       if (s.telemetry.reportEverySteps < 0)
@@ -176,125 +176,6 @@ RuntimeConfig parseRuntimeConfig(const std::string& text,
       s.telemetry.tracePathPrefix = rawValue;
     } else if (key == "telemetry_chrome") {
       s.telemetry.chromeTracePath = rawValue;
-    } else if (key == "telemetry_ring") {
-      const int cap = parseInt(value, lineNo);
-      if (cap < 1) fail(lineNo, "telemetry_ring must be >= 1");
-      config.telemetryRingCapacity = static_cast<std::size_t>(cap);
-    } else if (key == "sched_workers") {
-      config.sched.workers = parseInt(value, lineNo);
-      if (config.sched.workers < 1) fail(lineNo, "sched_workers must be >= 1");
-    } else if (key == "sched_memory_mb") {
-      const int mb = parseInt(value, lineNo);
-      if (mb < 0) fail(lineNo, "sched_memory_mb must be >= 0");
-      config.sched.memoryMb = static_cast<std::size_t>(mb);
-    } else if (key == "sched_queue_capacity") {
-      config.sched.queueCapacity = parseInt(value, lineNo);
-      if (config.sched.queueCapacity < 1)
-        fail(lineNo, "sched_queue_capacity must be >= 1");
-    } else if (key == "sched_admission") {
-      if (value == "reject") config.sched.admitBlock = false;
-      else if (value == "block") config.sched.admitBlock = true;
-      else fail(lineNo, "sched_admission must be reject or block");
-    } else if (key == "sched_max_retries") {
-      config.sched.maxRetries = parseInt(value, lineNo);
-      if (config.sched.maxRetries < 0)
-        fail(lineNo, "sched_max_retries must be >= 0");
-    } else if (key == "sched_stall_timeout") {
-      config.sched.stallTimeoutSeconds = parseDouble(value, lineNo);
-      if (config.sched.stallTimeoutSeconds <= 0.0)
-        fail(lineNo, "sched_stall_timeout must be > 0");
-    } else if (key == "sched_cancel_check") {
-      config.sched.cancelCheckEverySteps = parseInt(value, lineNo);
-      if (config.sched.cancelCheckEverySteps < 1)
-        fail(lineNo, "sched_cancel_check must be >= 1");
-    } else if (key == "sched_retry_dt_tighten") {
-      config.sched.retryDtTighten = parseDouble(value, lineNo);
-      if (config.sched.retryDtTighten <= 0.0 ||
-          config.sched.retryDtTighten > 1.0)
-        fail(lineNo, "sched_retry_dt_tighten must be in (0, 1]");
-    } else if (key == "sched_respawn_budget") {
-      config.sched.respawnBudget = parseInt(value, lineNo);
-      if (config.sched.respawnBudget < 0)
-        fail(lineNo, "sched_respawn_budget must be >= 0");
-    } else if (key == "sched_cache") {
-      config.sched.cacheProducts = parseSwitch(value, lineNo);
-    } else if (key == "sched_cache_dir") {
-      config.sched.cacheDir = rawValue;
-    } else if (key == "sched_work_dir") {
-      config.sched.workDir = rawValue;
-    } else if (key == "fabric_brokers") {
-      config.fabric.brokers = parseInt(value, lineNo);
-      if (config.fabric.brokers < 1)
-        fail(lineNo, "fabric_brokers must be >= 1");
-    } else if (key == "fabric_vnodes") {
-      config.fabric.vnodes = parseInt(value, lineNo);
-      if (config.fabric.vnodes < 1) fail(lineNo, "fabric_vnodes must be >= 1");
-    } else if (key == "fabric_lease_seconds") {
-      config.fabric.leaseSeconds = parseDouble(value, lineNo);
-      if (config.fabric.leaseSeconds <= 0.0)
-        fail(lineNo, "fabric_lease_seconds must be > 0");
-    } else if (key == "fabric_heartbeat_seconds") {
-      config.fabric.heartbeatSeconds = parseDouble(value, lineNo);
-      if (config.fabric.heartbeatSeconds <= 0.0)
-        fail(lineNo, "fabric_heartbeat_seconds must be > 0");
-    } else if (key == "fabric_degraded_misses") {
-      config.fabric.degradedAfterMisses = parseInt(value, lineNo);
-      if (config.fabric.degradedAfterMisses < 1)
-        fail(lineNo, "fabric_degraded_misses must be >= 1");
-    } else if (key == "fabric_pump_interval") {
-      config.fabric.pumpIntervalSeconds = parseDouble(value, lineNo);
-      if (config.fabric.pumpIntervalSeconds <= 0.0)
-        fail(lineNo, "fabric_pump_interval must be > 0");
-    } else if (key == "fabric_forward_attempts") {
-      config.fabric.forwardAttempts = parseInt(value, lineNo);
-      if (config.fabric.forwardAttempts < 1)
-        fail(lineNo, "fabric_forward_attempts must be >= 1");
-    } else if (key == "fabric_root_dir") {
-      config.fabric.rootDir = rawValue;
-    } else if (key == "serve_tile") {
-      config.serve.tileEdge = parseInt(value, lineNo);
-      if (config.serve.tileEdge < 1) fail(lineNo, "serve_tile must be >= 1");
-    } else if (key == "serve_window") {
-      config.serve.windowSamples = parseInt(value, lineNo);
-      if (config.serve.windowSamples < 1)
-        fail(lineNo, "serve_window must be >= 1");
-    } else if (key == "serve_partial") {
-      config.serve.partialPublish = parseSwitch(value, lineNo);
-    } else if (key == "serve_reconcile_ticks") {
-      config.serve.reconcileEveryTicks = parseInt(value, lineNo);
-      if (config.serve.reconcileEveryTicks < 1)
-        fail(lineNo, "serve_reconcile_ticks must be >= 1");
-    } else if (key == "cycle_nx") {
-      config.cycle.nx = parseInt(value, lineNo);
-      if (config.cycle.nx < 1) fail(lineNo, "cycle_nx must be >= 1");
-    } else if (key == "cycle_nz") {
-      config.cycle.nz = parseInt(value, lineNo);
-      if (config.cycle.nz < 1) fail(lineNo, "cycle_nz must be >= 1");
-    } else if (key == "cycle_cell") {
-      config.cycle.cellMeters = parseDouble(value, lineNo);
-      if (config.cycle.cellMeters <= 0.0)
-        fail(lineNo, "cycle_cell must be > 0");
-    } else if (key == "cycle_years") {
-      config.cycle.years = parseDouble(value, lineNo);
-      if (config.cycle.years <= 0.0) fail(lineNo, "cycle_years must be > 0");
-    } else if (key == "cycle_max_events") {
-      config.cycle.maxEvents = parseInt(value, lineNo);
-      if (config.cycle.maxEvents < 0)
-        fail(lineNo, "cycle_max_events must be >= 0");
-    } else if (key == "cycle_seed") {
-      const int seed = parseInt(value, lineNo);
-      if (seed < 0) fail(lineNo, "cycle_seed must be >= 0");
-      config.cycle.seed = static_cast<std::uint64_t>(seed);
-    } else if (key == "cycle_event_rate") {
-      config.cycle.eventRate = parseDouble(value, lineNo);
-      if (config.cycle.eventRate <= 0.0)
-        fail(lineNo, "cycle_event_rate must be > 0");
-    } else if (key == "cycle_lock_rate") {
-      config.cycle.lockRate = parseDouble(value, lineNo);
-      if (config.cycle.lockRate <= 0.0)
-        fail(lineNo, "cycle_lock_rate must be > 0");
-    } else if (key == "cycle_priority") {
-      config.cycle.priority = parseInt(value, lineNo);
     } else {
       fail(lineNo, "unknown key '" + key + "'");
     }

@@ -110,6 +110,7 @@ void WaveSolver::addReceiver(std::string name, std::size_t gi,
 
 void WaveSolver::attachSurfaceOutput(const SurfaceOutputConfig& out) {
   AWP_CHECK(out.file != nullptr);
+  AWP_CHECK(out.sampleEverySteps >= 1);
   surfaceOutput_ = out;
   if (!geom_.touchesTop()) return;
 

@@ -128,12 +128,6 @@ CycleCatalogRow rowShell(const CycleEvent& event) {
 
 }  // namespace
 
-BridgeConfig BridgeConfig::fromRuntime(const core::RuntimeConfig& rc) {
-  BridgeConfig config;
-  config.priority = rc.cycle.priority;
-  return config;
-}
-
 sched::ScenarioSpec eventSpec(const CycleEvent& event,
                               const BridgeConfig& config) {
   AWP_CHECK(!event.digest.empty());

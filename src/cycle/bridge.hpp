@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "cycle/catalog.hpp"
 #include "cycle/solver.hpp"
 #include "fabric/fabric.hpp"
@@ -39,8 +38,6 @@ struct BridgeConfig {
   // Strength-band accommodation knobs (normal-stress profile, reload/max
   // fractions, nucExcess). Random-field members are ignored on this path.
   rupture::StressModelConfig stress;
-
-  static BridgeConfig fromRuntime(const core::RuntimeConfig& rc);
 };
 
 // Map one detected event onto a rupture scenario. The returned spec hashes

@@ -17,19 +17,6 @@ constexpr double kSecondsPerYear = 365.25 * 86400.0;
 constexpr double kThetaFloor = 1.0e-12;
 }  // namespace
 
-CycleConfig CycleConfig::fromRuntime(const core::RuntimeConfig& rc) {
-  CycleConfig c;
-  c.nx = static_cast<std::size_t>(rc.cycle.nx);
-  c.nz = static_cast<std::size_t>(rc.cycle.nz);
-  c.cell = rc.cycle.cellMeters;
-  c.years = rc.cycle.years;
-  c.maxEvents = rc.cycle.maxEvents;
-  c.seed = rc.cycle.seed;
-  c.eventRate = rc.cycle.eventRate;
-  c.lockRate = rc.cycle.lockRate;
-  return c;
-}
-
 CycleSolver::CycleSolver(const CycleConfig& config)
     : config_(config),
       friction_(config.friction),

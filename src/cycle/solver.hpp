@@ -18,13 +18,11 @@
 //
 // Observability: CycleStep/CycleBridge telemetry phases, Cycle* counters,
 // the "cycle.step" fault site (deterministic state perturbation absorbed
-// by the adaptive stepper; stall caught by the heartbeat watchdog), and
-// cycle_* runtime keys (core/runtime_config.hpp).
+// by the adaptive stepper; stall caught by the heartbeat watchdog).
 
 #include <cstdint>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "cycle/catalog.hpp"
 #include "cycle/kernel.hpp"
 #include "health/watchdog.hpp"
@@ -85,8 +83,6 @@ struct CycleConfig {
   // stepping loop (not owned; may be null).
   int rank = 0;
   health::HeartbeatBoard* heartbeat = nullptr;
-
-  static CycleConfig fromRuntime(const core::RuntimeConfig& rc);
 };
 
 struct CycleRunSummary {

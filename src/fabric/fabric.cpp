@@ -23,26 +23,6 @@ bool FabricJob::done() const {
   return settled;
 }
 
-FabricConfig FabricConfig::fromRuntime(const core::RuntimeConfig& rc) {
-  FabricConfig c;
-  c.brokers = rc.fabric.brokers;
-  c.vnodes = rc.fabric.vnodes;
-  c.leaseSeconds = rc.fabric.leaseSeconds;
-  c.heartbeatSeconds = rc.fabric.heartbeatSeconds;
-  c.degradedAfterMisses = rc.fabric.degradedAfterMisses;
-  c.pumpIntervalSeconds = rc.fabric.pumpIntervalSeconds;
-  c.forwardAttempts = rc.fabric.forwardAttempts;
-  c.rootDir = rc.fabric.rootDir;
-  c.telemetry = rc.telemetryEnabled;
-  c.telemetryRingCapacity = rc.telemetryRingCapacity;
-  c.chromeTracePath = rc.solver.telemetry.chromeTracePath;
-  c.service = sched::ServiceConfig::fromRuntime(rc);
-  c.service.telemetry = false;  // the fabric owns the session
-  c.service.chromeTracePath.clear();
-  c.serve = serve::ServeConfig::fromRuntime(rc);
-  return c;
-}
-
 HazardFabric::HazardFabric(FabricConfig config) : config_(std::move(config)) {
   AWP_CHECK_MSG(config_.brokers >= 1 && config_.brokers <= 32,
                 "fabric: broker count outside [1, 32]");

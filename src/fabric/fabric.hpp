@@ -11,11 +11,6 @@
 // exactly-once completion by digest dedup at every layer. A partitioned
 // broker degrades instead of failing: it finishes local work, serves
 // cache hits, parks new submissions, and re-forwards them after rejoin.
-//
-// Config (core/runtime_config.hpp fabric_* keys):
-//   fabric_brokers, fabric_vnodes, fabric_lease_seconds,
-//   fabric_heartbeat_seconds, fabric_degraded_misses,
-//   fabric_pump_interval, fabric_forward_attempts, fabric_root_dir.
 
 #include <condition_variable>
 #include <cstdint>
@@ -25,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "fabric/broker.hpp"
 #include "fabric/hash_ring.hpp"
 #include "fabric/membership.hpp"
@@ -64,11 +58,9 @@ struct FabricConfig {
   // overridden per broker; cacheProducts is forced on (replay and
   // degraded-mode serving both need the shared product tier).
   sched::ServiceConfig service;
-  // Serving-tier knobs (serve_* keys). The fabric owns one ProductServer
-  // over a memory-only chunk cache; every broker publishes into it.
+  // Serving-tier config. The fabric owns one ProductServer over a
+  // memory-only chunk cache; every broker publishes into it.
   serve::ServeConfig serve;
-
-  static FabricConfig fromRuntime(const core::RuntimeConfig& rc);
 };
 
 // One client-visible scenario of the fabric, keyed by spec digest.

@@ -151,29 +151,6 @@ const char* toString(RequeueCause cause) {
   return "?";
 }
 
-ServiceConfig ServiceConfig::fromRuntime(const core::RuntimeConfig& rc) {
-  ServiceConfig c;
-  c.coreBudget = rc.sched.workers;
-  c.memoryBudgetBytes =
-      static_cast<std::size_t>(rc.sched.memoryMb) * (std::size_t{1} << 20);
-  c.queueCapacity = static_cast<std::size_t>(rc.sched.queueCapacity);
-  c.admitPolicy = rc.sched.admitBlock ? AdmissionQueue::AdmitPolicy::Block
-                                      : AdmissionQueue::AdmitPolicy::Reject;
-  c.maxRetries = rc.sched.maxRetries;
-  c.stallTimeoutSeconds = rc.sched.stallTimeoutSeconds;
-  c.cancelCheckEverySteps = rc.sched.cancelCheckEverySteps;
-  c.retryDtTighten = rc.sched.retryDtTighten;
-  c.respawnBudget = rc.sched.respawnBudget;
-  c.watchdogMissThreshold = rc.sched.watchdogMissThreshold;
-  c.cacheProducts = rc.sched.cacheProducts;
-  c.cacheDir = rc.sched.cacheDir;
-  c.workDir = rc.sched.workDir;
-  c.telemetry = rc.telemetryEnabled;
-  c.telemetryRingCapacity = rc.telemetryRingCapacity;
-  c.chromeTracePath = rc.solver.telemetry.chromeTracePath;
-  return c;
-}
-
 ScenarioService::ScenarioService(ServiceConfig config)
     : config_(std::move(config)),
       cache_(config_.cacheDir),

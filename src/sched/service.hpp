@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "health/watchdog.hpp"
 #include "sched/artifact_cache.hpp"
 #include "sched/job.hpp"
@@ -91,8 +90,6 @@ struct ServiceConfig {
   // (the fabric sets it to the broker id).
   ProductPublisher* publisher = nullptr;
   int publishOriginId = 0;
-
-  static ServiceConfig fromRuntime(const core::RuntimeConfig& rc);
 };
 
 class ScenarioService {

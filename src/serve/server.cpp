@@ -55,15 +55,6 @@ bool tileTouches(int tx, int ty, int edge, const Extent& extent) {
 
 }  // namespace
 
-ServeConfig ServeConfig::fromRuntime(const core::RuntimeConfig& rc) {
-  ServeConfig cfg;
-  cfg.tileEdge = rc.serve.tileEdge;
-  cfg.windowSamples = rc.serve.windowSamples;
-  cfg.partialPublish = rc.serve.partialPublish;
-  cfg.reconcileEveryTicks = rc.serve.reconcileEveryTicks;
-  return cfg;
-}
-
 ProductServer::ProductServer(sched::ArtifactCache* cache, ServeConfig config)
     : config_(config), store_(cache, config.tileEdge) {
   AWP_CHECK_MSG(config_.windowSamples >= 1,
@@ -179,7 +170,7 @@ void ProductServer::onWindowFlush(const sched::SurfaceRunInfo& info,
     }
     auto& durable = state.durableByRank[rank];
     if (durableSamples > durable) durable = durableSamples;
-    if (!config_.partialPublish || state.tainted) return;
+    if (state.tainted) return;
     // The partial map is only correct up to the slowest surface rank's
     // durable prefix.
     std::uint64_t v = std::numeric_limits<std::uint64_t>::max();

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "sched/artifact_cache.hpp"
 #include "sched/publish.hpp"
 #include "serve/layout.hpp"
@@ -52,13 +51,10 @@ namespace awp::serve {
 struct ServeConfig {
   int tileEdge = 16;        // tile size in surface points (square)
   int windowSamples = 4;    // min new samples between partial publishes
-  bool partialPublish = true;  // fold + publish mid-run (off: completion only)
   int reconcileEveryTicks = 50;  // broker pump ticks between reconciles
   // Default publish origin for a standalone server (fault-injection rank
   // of the serve_* sites). Fabric brokers pass their broker id per call.
   int originId = 0;
-
-  static ServeConfig fromRuntime(const core::RuntimeConfig& rc);
 };
 
 // One tile-version advance, as delivered to subscribers.

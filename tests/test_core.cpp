@@ -13,7 +13,9 @@
 #include <filesystem>
 
 #include "core/solver.hpp"
+#include "io/shared_file.hpp"
 #include "mesh/partitioner.hpp"
+#include "util/error.hpp"
 #include "util/fp_env.hpp"
 #include "util/md5.hpp"
 #include "vcluster/cluster.hpp"
@@ -175,6 +177,22 @@ TEST(Solver, SurfaceMotionIsNonZeroWithFreeSurface) {
   float peak = 0.0f;
   for (float v : traces[0].w) peak = std::max(peak, std::abs(v));
   EXPECT_GT(peak, 0.0f);
+}
+
+TEST(Solver, SurfaceOutputRejectsZeroSampleCadence) {
+  // observationPhase divides the step by sampleEverySteps.
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("awp_surf0_" + std::to_string(::getpid()) + ".bin");
+  ThreadCluster::run(1, [&](vcluster::Communicator& comm) {
+    CartTopology topo(Dims3{1, 1, 1});
+    WaveSolver solver(comm, topo, baseConfig(32), rock());
+    io::SharedFile file(path.string(), io::SharedFile::Mode::Write);
+    SurfaceOutputConfig out;
+    out.file = &file;
+    out.sampleEverySteps = 0;
+    EXPECT_THROW(solver.attachSurfaceOutput(out), Error);
+  });
+  std::filesystem::remove(path);
 }
 
 double residualEnergyAfterExit(AbsorbingType type, int width) {

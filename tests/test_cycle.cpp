@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "cycle/bridge.hpp"
 #include "cycle/catalog.hpp"
 #include "cycle/kernel.hpp"
@@ -375,37 +374,6 @@ TEST(SpecEncodingV2, CycleDigestSwitchesToV2AndRoundTrips) {
   std::vector<std::byte> badMagic = v1Bytes;
   badMagic[7] = static_cast<std::byte>('9');
   EXPECT_THROW(sched::ScenarioSpec::decodeCanonical(badMagic), Error);
-}
-
-// --- cycle_* runtime keys --------------------------------------------------
-
-TEST(CycleConfigKeys, ParseAndRoundTripIntoCycleAndBridgeConfig) {
-  const auto rc = core::parseRuntimeConfig(
-      "cycle_nx = 48\n"
-      "cycle_nz = 16\n"
-      "cycle_cell = 750\n"
-      "cycle_years = 250\n"
-      "cycle_max_events = 7\n"
-      "cycle_seed = 99\n"
-      "cycle_event_rate = 2e-3\n"
-      "cycle_lock_rate = 2e-5\n"
-      "cycle_priority = 9\n");
-  const CycleConfig c = CycleConfig::fromRuntime(rc);
-  EXPECT_EQ(c.nx, 48u);
-  EXPECT_EQ(c.nz, 16u);
-  EXPECT_DOUBLE_EQ(c.cell, 750.0);
-  EXPECT_DOUBLE_EQ(c.years, 250.0);
-  EXPECT_EQ(c.maxEvents, 7);
-  EXPECT_EQ(c.seed, 99u);
-  EXPECT_DOUBLE_EQ(c.eventRate, 2e-3);
-  EXPECT_DOUBLE_EQ(c.lockRate, 2e-5);
-  const BridgeConfig b = BridgeConfig::fromRuntime(rc);
-  EXPECT_EQ(b.priority, 9);
-
-  EXPECT_THROW(core::parseRuntimeConfig("cycle_nx = 0\n"), Error);
-  EXPECT_THROW(core::parseRuntimeConfig("cycle_years = -1\n"), Error);
-  EXPECT_THROW(core::parseRuntimeConfig("cycle_event_rate = 0\n"), Error);
-  EXPECT_THROW(core::parseRuntimeConfig("cycle_seed = -3\n"), Error);
 }
 
 // --- catalog JSON ----------------------------------------------------------

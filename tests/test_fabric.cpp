@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/hash_ring.hpp"
 #include "fabric/membership.hpp"
@@ -279,35 +278,6 @@ TEST(SubmissionLog, AppendIsIdempotentByDigest) {
   EXPECT_EQ(stats.appended, 1u);
   EXPECT_EQ(stats.dedupedAppends, 1u);
   EXPECT_EQ(stats.completedMarks, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Runtime config plumbing
-
-TEST(FabricConfigKeys, ParseAndRoundTripIntoFabricConfig) {
-  const auto rc = core::parseRuntimeConfig(
-      "fabric_brokers = 5\n"
-      "fabric_vnodes = 32\n"
-      "fabric_lease_seconds = 2.5\n"
-      "fabric_heartbeat_seconds = 0.5\n"
-      "fabric_degraded_misses = 3\n"
-      "fabric_pump_interval = 0.02\n"
-      "fabric_forward_attempts = 6\n"
-      "fabric_root_dir = /tmp/awp-fabric-test-keys\n");
-  const FabricConfig c = FabricConfig::fromRuntime(rc);
-  EXPECT_EQ(c.brokers, 5);
-  EXPECT_EQ(c.vnodes, 32);
-  EXPECT_DOUBLE_EQ(c.leaseSeconds, 2.5);
-  EXPECT_DOUBLE_EQ(c.heartbeatSeconds, 0.5);
-  EXPECT_EQ(c.degradedAfterMisses, 3);
-  EXPECT_DOUBLE_EQ(c.pumpIntervalSeconds, 0.02);
-  EXPECT_EQ(c.forwardAttempts, 6);
-  EXPECT_EQ(c.rootDir, "/tmp/awp-fabric-test-keys");
-  EXPECT_FALSE(c.service.telemetry);  // the fabric owns the session
-
-  EXPECT_THROW(core::parseRuntimeConfig("fabric_brokers = 0\n"), Error);
-  EXPECT_THROW(core::parseRuntimeConfig("fabric_lease_seconds = -1\n"),
-               Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -738,33 +738,25 @@ TEST(RuntimeConfigHealth, RejectsInvalidValues) {
   EXPECT_THROW(core::parseRuntimeConfig("health_dt_tighten = 1.5\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("health_interval = 0\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("health_growth_limit = 1\n"), Error);
-  EXPECT_THROW(
-      core::parseRuntimeConfig("health_watchdog_miss_threshold = 0\n"),
-      Error);
 }
 
 TEST(RuntimeConfigHealth, ParsesRewidenAndTelemetryKeys) {
   const auto config = core::parseRuntimeConfig(
       "health_dt_rewiden_window = 3\n"
       "health_dt_rewiden = 1.5\n"
-      "telemetry = on\n"
       "telemetry_interval = 100\n"
       "telemetry_report = Out/Report.json\n"
-      "telemetry_trace = Out/trace\n"
-      "telemetry_ring = 1024\n");
+      "telemetry_trace = Out/trace\n");
   EXPECT_EQ(config.solver.health.dtRewidenWindow, 3);
   EXPECT_DOUBLE_EQ(config.solver.health.dtRewiden, 1.5);
-  EXPECT_TRUE(config.telemetryEnabled);
   EXPECT_EQ(config.solver.telemetry.reportEverySteps, 100);
   // Path values keep their case (only enum/switch values are folded).
   EXPECT_EQ(config.solver.telemetry.reportPath, "Out/Report.json");
   EXPECT_EQ(config.solver.telemetry.tracePathPrefix, "Out/trace");
-  EXPECT_EQ(config.telemetryRingCapacity, 1024u);
 
   EXPECT_THROW(core::parseRuntimeConfig("health_dt_rewiden = 1\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("health_dt_rewiden_window = -1\n"),
                Error);
-  EXPECT_THROW(core::parseRuntimeConfig("telemetry_ring = 0\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("telemetry_interval = -5\n"), Error);
 }
 

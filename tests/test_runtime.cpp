@@ -160,6 +160,19 @@ TEST(RuntimeConfig, RejectsMalformedInput) {
   EXPECT_THROW(core::parseRuntimeConfig("cache_block = 16by8\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("hybrid_threads = 0\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("dt = fast\n"), Error);
+  // Zero output cadences would divide by zero in the solver.
+  for (const char* zero :
+       {"output_sample_steps = 0\n", "output_decimation = 0\n",
+        "output_aggregate = 0\n"})
+    EXPECT_THROW((void)core::parseRuntimeConfig(zero), Error) << zero;
+  // Service-layer options are set on their config structs, not by key;
+  // these keys and the earlier duplicates are unknown.
+  for (const char* removed :
+       {"sched_workers = 6\n", "fabric_brokers = 5\n", "serve_tile = 8\n",
+        "cycle_nx = 48\n", "telemetry = on\n", "telemetry_ring = 1024\n",
+        "health_watchdog_miss_threshold = 7\n", "health_stall_timeout = 5\n",
+        "health_respawn_budget = 2\n", "sched_respawn_buddy = off\n"})
+    EXPECT_THROW((void)core::parseRuntimeConfig(removed), Error) << removed;
 }
 
 TEST(RuntimeConfig, LoadsFromFile) {

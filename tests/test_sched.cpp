@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "fault/injector.hpp"
 #include "health/watchdog.hpp"
 #include "report_schema_testing.hpp"
@@ -389,55 +388,6 @@ TEST(ChromeTrace, SessionExportIsValidJsonWithServiceLane) {
   EXPECT_TRUE(sawComplete);
 
   EXPECT_THROW((void)telemetry::chromeTraceFromJsonl("{not json\n"), Error);
-}
-
-// ---------------------------------------------------------------------------
-// Runtime-config keys
-
-TEST(RuntimeConfig, SchedKeysParseIntoServiceConfig) {
-  const std::string text =
-      "sched_workers = 6\n"
-      "sched_memory_mb = 128\n"
-      "sched_queue_capacity = 3\n"
-      "sched_admission = block\n"
-      "sched_max_retries = 5\n"
-      "sched_stall_timeout = 2.5\n"
-      "sched_cancel_check = 4\n"
-      "sched_retry_dt_tighten = 0.25\n"
-      "sched_respawn_budget = 3\n"
-      "health_watchdog_miss_threshold = 7\n"
-      "sched_cache = off\n"
-      "sched_cache_dir = /tmp/awp-cache\n"
-      "sched_work_dir = /tmp/awp-work\n"
-      "telemetry = on\n"
-      "telemetry_chrome = trace.json\n";
-  const auto rc = core::parseRuntimeConfig(text);
-  const auto cfg = ServiceConfig::fromRuntime(rc);
-  EXPECT_EQ(cfg.coreBudget, 6);
-  EXPECT_EQ(cfg.memoryBudgetBytes, std::size_t{128} << 20);
-  EXPECT_EQ(cfg.queueCapacity, 3u);
-  EXPECT_EQ(cfg.admitPolicy, AdmissionQueue::AdmitPolicy::Block);
-  EXPECT_EQ(cfg.maxRetries, 5);
-  EXPECT_DOUBLE_EQ(cfg.stallTimeoutSeconds, 2.5);
-  EXPECT_EQ(cfg.cancelCheckEverySteps, 4);
-  EXPECT_DOUBLE_EQ(cfg.retryDtTighten, 0.25);
-  EXPECT_EQ(cfg.respawnBudget, 3);
-  EXPECT_EQ(cfg.watchdogMissThreshold, 7);
-  EXPECT_FALSE(cfg.cacheProducts);
-  EXPECT_EQ(cfg.cacheDir, "/tmp/awp-cache");
-  EXPECT_EQ(cfg.workDir, "/tmp/awp-work");
-  EXPECT_TRUE(cfg.telemetry);
-  EXPECT_EQ(cfg.chromeTracePath, "trace.json");
-
-  EXPECT_THROW((void)core::parseRuntimeConfig("sched_admission = maybe\n"),
-               Error);
-  EXPECT_THROW((void)core::parseRuntimeConfig("sched_workers = zero\n"),
-               Error);
-  // The removed duplicate keys are unknown now.
-  for (const char* removed :
-       {"health_stall_timeout = 5\n", "health_respawn_budget = 2\n",
-        "sched_respawn_buddy = off\n"})
-    EXPECT_THROW((void)core::parseRuntimeConfig(removed), Error) << removed;
 }
 
 // ---------------------------------------------------------------------------

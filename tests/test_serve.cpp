@@ -21,7 +21,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/runtime_config.hpp"
 #include "fabric/fabric.hpp"
 #include "fault/injector.hpp"
 #include "sched/artifact_cache.hpp"
@@ -244,27 +243,6 @@ TEST(TileStore, VersionLatticeAbsorbsDuplicatesAndDedupsChunks) {
   }
   EXPECT_LT(stored, logical);
   EXPECT_GE(dedupPuts, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Runtime config plumbing
-
-TEST(ServeConfigKeys, ParseAndRoundTripIntoServeConfig) {
-  const auto rc = core::parseRuntimeConfig(
-      "serve_tile = 8\n"
-      "serve_window = 2\n"
-      "serve_partial = off\n"
-      "serve_reconcile_ticks = 25\n");
-  const ServeConfig cfg = ServeConfig::fromRuntime(rc);
-  EXPECT_EQ(cfg.tileEdge, 8);
-  EXPECT_EQ(cfg.windowSamples, 2);
-  EXPECT_FALSE(cfg.partialPublish);
-  EXPECT_EQ(cfg.reconcileEveryTicks, 25);
-
-  EXPECT_THROW(core::parseRuntimeConfig("serve_tile = 0\n"), Error);
-  EXPECT_THROW(core::parseRuntimeConfig("serve_window = 0\n"), Error);
-  EXPECT_THROW(core::parseRuntimeConfig("serve_reconcile_ticks = 0\n"),
-               Error);
 }
 
 // ---------------------------------------------------------------------------
