@@ -201,39 +201,4 @@ CycleCatalog submitCatalog(fabric::HazardFabric& fabric,
   return catalog;
 }
 
-CycleCatalog submitCatalog(sched::ScenarioService& service,
-                           const CycleConfig& cycleConfig,
-                           const CycleRunSummary& summary,
-                           const std::vector<CycleEvent>& events,
-                           const BridgeConfig& config) {
-  telemetry::ScopedSpan span(telemetry::Phase::CycleBridge);
-  CycleCatalog catalog = catalogShell(cycleConfig, summary);
-
-  std::vector<sched::JobHandle> handles;
-  handles.reserve(events.size());
-  for (const CycleEvent& event : events) {
-    handles.push_back(service.submit(eventSpec(event, config)));
-    telemetry::count(telemetry::Counter::CycleEventsSubmitted);
-  }
-  for (const auto& handle : handles)
-    if (handle != nullptr) handle->wait();
-
-  for (std::size_t n = 0; n < events.size(); ++n) {
-    CycleCatalogRow row = rowShell(events[n]);
-    const auto& handle = handles[n];
-    if (handle == nullptr) {
-      row.phase = "rejected";
-    } else {
-      row.specHash = handle->hash;
-      std::lock_guard<std::mutex> lock(handle->mutex);
-      row.phase = sched::toString(handle->phase);
-      row.completions = handle->phase == sched::JobPhase::Completed ? 1 : 0;
-      if (const auto* blob = handle->products.find("fault_history"))
-        row.productDigest = blob->md5Hex;
-    }
-    catalog.rows.push_back(std::move(row));
-  }
-  return catalog;
-}
-
 }  // namespace awp::cycle

@@ -7,8 +7,7 @@
 // accommodateStressPattern — the preflight's supercritical-fraction gate
 // still applies), and attached as the spec's unhashed stress carrier while
 // the event digest rides in the hashed cycleDigest field (canonical
-// encoding v2). The specs are then submitted — through the HazardFabric
-// for the fault-tolerant path or a bare ScenarioService for benches —
+// encoding v2). The specs are then submitted through the HazardFabric,
 // and the settled handles are folded into a CycleCatalog whose canonical
 // bytes are bit-identical across reruns: every row is derived from the
 // deterministic solver output and the content-addressed products, never
@@ -21,7 +20,6 @@
 #include "cycle/solver.hpp"
 #include "fabric/fabric.hpp"
 #include "rupture/stress_model.hpp"
-#include "sched/service.hpp"
 #include "sched/spec.hpp"
 
 namespace awp::cycle {
@@ -52,14 +50,6 @@ sched::ScenarioSpec eventSpec(const CycleEvent& event,
 // phase / completions from the settled handles). wallSeconds is left 0 for
 // the caller to stamp — it is outside the canonical bytes.
 CycleCatalog submitCatalog(fabric::HazardFabric& fabric,
-                           const CycleConfig& cycleConfig,
-                           const CycleRunSummary& summary,
-                           const std::vector<CycleEvent>& events,
-                           const BridgeConfig& config);
-
-// Same catalog through a standalone ScenarioService (the bench path —
-// no broker fabric, completions is 1 for every completed job).
-CycleCatalog submitCatalog(sched::ScenarioService& service,
                            const CycleConfig& cycleConfig,
                            const CycleRunSummary& summary,
                            const std::vector<CycleEvent>& events,

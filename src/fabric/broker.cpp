@@ -14,6 +14,9 @@ namespace awp::fabric {
 
 namespace fs = std::filesystem;
 
+// Backoff before the second forward attempt (util/retry doubles it).
+constexpr double kForwardBaseDelaySeconds = 0.002;
+
 const char* toString(BrokerState state) {
   switch (state) {
     case BrokerState::Active:
@@ -366,7 +369,7 @@ bool Broker::forward(
   m.setDigest(digest);
   util::RetryPolicy policy;
   policy.maxAttempts = config_.forwardAttempts;
-  policy.baseDelaySeconds = config_.forwardBaseDelaySeconds;
+  policy.baseDelaySeconds = kForwardBaseDelaySeconds;
   policy.maxDelaySeconds = 0.05;
   bool sent = true;
   try {

@@ -50,7 +50,6 @@ struct BrokerConfig {
   int degradedAfterMisses = 2;
   double pumpIntervalSeconds = 0.01;
   int forwardAttempts = 4;            // util/retry attempts per forward
-  double forwardBaseDelaySeconds = 0.002;
   // Dedicated telemetry slot for the pump thread's spans; -1 = no spans
   // (counters still recorded). The fabric assigns a lane per broker when
   // it owns the session.

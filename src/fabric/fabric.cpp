@@ -12,6 +12,9 @@ namespace awp::fabric {
 
 namespace fs = std::filesystem;
 
+// Messages each broker's transport inbox holds before sends are dropped.
+constexpr std::size_t kInboxCapacity = 256;
+
 sched::JobPhase FabricJob::wait() {
   std::unique_lock<std::mutex> lock(mu);
   settledCv.wait(lock, [&] { return settled; });
@@ -41,7 +44,7 @@ HazardFabric::HazardFabric(FabricConfig config) : config_(std::move(config)) {
                                         config_.leaseSeconds);
   ring_ = std::make_unique<HashRing>(config_.brokers, config_.vnodes);
   transport_ = std::make_unique<FabricTransport>(
-      config_.brokers, board_.get(), config_.inboxCapacity);
+      config_.brokers, board_.get(), kInboxCapacity);
   log_ = std::make_unique<SubmissionLog>();
 
   const int coreBudget = std::max(1, config_.service.coreBudget);
@@ -52,7 +55,6 @@ HazardFabric::HazardFabric(FabricConfig config) : config_(std::move(config)) {
     // broker — every span writer gets a dedicated single-writer slot.
     telemetry::SessionConfig sc;
     sc.nranks = totalCores + 2 * config_.brokers;
-    sc.ringCapacity = config_.telemetryRingCapacity;
     ownedSession_ = std::make_unique<telemetry::Session>(sc);
     telemetry::installSession(ownedSession_.get());
   }
@@ -83,12 +85,10 @@ HazardFabric::HazardFabric(FabricConfig config) : config_(std::move(config)) {
     bc.forwardAttempts = config_.forwardAttempts;
     bc.peerWorkDirs = workDirs;
     bc.service = config_.service;
-    bc.service.telemetry = false;  // never own a nested session
     bc.service.cacheProducts = true;
     bc.service.cacheDir =
         (fs::path(config_.rootDir) / "cache").string();
     bc.service.workDir = workDirs[static_cast<std::size_t>(i)];
-    bc.service.chromeTracePath.clear();
     bc.service.publisher = server_.get();
     bc.service.publishOriginId = i;
     bc.reconcile = [this] { server_->reconcile(); };
@@ -240,18 +240,7 @@ void HazardFabric::shutdown() {
     std::lock_guard<std::mutex> lock(jobsMu_);
     settleRemainingLocked("fabric shutdown");
   }
-  if (ownedSession_ != nullptr) {
-    if (!config_.chromeTracePath.empty()) {
-      std::vector<telemetry::InstantEvent> instants;
-      {
-        std::lock_guard<std::mutex> lock(eventsMu_);
-        instants = instants_;
-      }
-      telemetry::writeChromeTraceFile(config_.chromeTracePath,
-                                      *ownedSession_, instants);
-    }
-    telemetry::installSession(nullptr);
-  }
+  if (ownedSession_ != nullptr) telemetry::installSession(nullptr);
 }
 
 bool HazardFabric::waitAll(const std::vector<FabricJobHandle>& handles) {
@@ -315,19 +304,9 @@ std::vector<std::string> HazardFabric::events() const {
 }
 
 void HazardFabric::recordEvent(int broker, const std::string& what) {
-  const std::string line =
-      "broker " + std::to_string(broker) + ": " + what;
+  std::string line = "broker " + std::to_string(broker) + ": " + what;
   std::lock_guard<std::mutex> lock(eventsMu_);
-  events_.push_back(line);
-  if (ownedSession_ != nullptr) {
-    telemetry::InstantEvent ev;
-    ev.name = line;
-    ev.tsNs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - ownedSession_->epoch())
-            .count());
-    instants_.push_back(ev);
-  }
+  events_.push_back(std::move(line));
 }
 
 }  // namespace awp::fabric

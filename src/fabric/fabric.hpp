@@ -28,7 +28,7 @@
 #include "sched/report.hpp"
 #include "sched/spec.hpp"
 #include "serve/server.hpp"
-#include "telemetry/chrome_trace.hpp"
+#include "telemetry/registry.hpp"
 #include "util/guarded.hpp"
 #include "util/retry.hpp"
 #include "util/timer.hpp"
@@ -43,17 +43,15 @@ struct FabricConfig {
   int degradedAfterMisses = 2;
   double pumpIntervalSeconds = 0.01;
   int forwardAttempts = 4;
-  std::size_t inboxCapacity = 256;
   // Per-broker work dirs live at <rootDir>/broker-<i>; the shared cache
   // tier at <rootDir>/cache. "" = <tmp>/awp-fabric.
   std::string rootDir;
   // Telemetry: when true and no session is installed, the fabric owns one
   // Session sized brokers*coreBudget rank lanes + a dispatcher lane and a
   // pump lane per broker, so every span writer in the fabric has a
-  // dedicated slot.
+  // dedicated slot. shutdown() uninstalls it; its spans stay readable
+  // until the fabric is destroyed.
   bool telemetry = false;
-  std::size_t telemetryRingCapacity = std::size_t{1} << 16;
-  std::string chromeTracePath;  // whole-fabric trace at shutdown
   // Per-broker service template. workDir/cacheDir/telemetry fields are
   // overridden per broker; cacheProducts is forced on (replay and
   // degraded-mode serving both need the shared product tier).
@@ -154,8 +152,7 @@ class HazardFabric {
   [[nodiscard]] MembershipView currentView();
   [[nodiscard]] FabricReport report() const;
   [[nodiscard]] const FabricConfig& config() const { return config_; }
-  // Fabric timeline (death/degrade/rejoin/handoff markers), for tests and
-  // the chrome trace's service lane.
+  // Fabric timeline (death/degrade/rejoin/handoff markers).
   [[nodiscard]] std::vector<std::string> events() const;
 
  private:
@@ -193,7 +190,6 @@ class HazardFabric {
 
   mutable std::mutex eventsMu_;
   std::vector<std::string> events_ AWP_GUARDED_BY(eventsMu_);
-  std::vector<telemetry::InstantEvent> instants_ AWP_GUARDED_BY(eventsMu_);
 };
 
 }  // namespace awp::fabric

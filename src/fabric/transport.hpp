@@ -47,8 +47,7 @@ struct FabricMessage {
 
 class FabricTransport {
  public:
-  FabricTransport(int nbrokers, LeaseBoard* board,
-                  std::size_t inboxCapacity = 256);
+  FabricTransport(int nbrokers, LeaseBoard* board, std::size_t inboxCapacity);
 
   enum class SendResult { Delivered, Dropped };
 

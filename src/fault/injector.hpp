@@ -45,11 +45,12 @@
 //                                        modelling a congested link)
 //   serve_publish_drop                 — serving-tier window publish;
 //                                        rank = publish origin (broker id,
-//                                        or ServeConfig::originId outside a
-//                                        fabric). MessageDrop loses one
-//                                        window's tile publish — the next
-//                                        window or a reconcile pass must
-//                                        converge subscribers anyway
+//                                        or ServiceConfig::publishOriginId
+//                                        outside a fabric). MessageDrop
+//                                        loses one window's tile publish —
+//                                        the next window or a reconcile
+//                                        pass must converge subscribers
+//                                        anyway
 //   serve_notify_delay                 — serving-tier subscription delta
 //                                        delivery; rank = publish origin
 //                                        (RankStall delays the notify,

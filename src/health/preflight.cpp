@@ -219,7 +219,7 @@ PreflightReport collectivePreflight(vcluster::Communicator& comm,
     os << ": " << describeIssues(report.issues);
   else
     os << ": this rank is clean; see the fatal rank(s) above";
-  throw Error(os.str());
+  throw PreflightError(os.str());
 }
 
 // --- Rupture-solver preflight ---------------------------------------------
@@ -371,7 +371,7 @@ PreflightReport collectiveRupturePreflight(
     os << ": " << describeIssues(report.issues);
   else
     os << ": this rank is clean; see the fatal rank(s) above";
-  throw Error(os.str());
+  throw PreflightError(os.str());
 }
 
 }  // namespace awp::health

@@ -28,9 +28,18 @@
 
 #include "grid/staggered_grid.hpp"
 #include "health/verdict.hpp"
+#include "util/error.hpp"
 #include "vcluster/comm.hpp"
 
 namespace awp::health {
+
+// A Fatal preflight verdict. It judges the inputs alone, so a retry of the
+// same inputs meets the same verdict: callers must not treat it like a
+// numerical blow-up.
+class PreflightError : public Error {
+ public:
+  using Error::Error;
+};
 
 struct PreflightLimits {
   float minVpVsRatio = 1.415f;  // just above sqrt(2); below ⇒ λ < 0
@@ -81,7 +90,7 @@ struct PreflightReport {
 PreflightReport runPreflight(const PreflightContext& ctx);
 
 // Collective validation: runs the local checks, allgathers the verdicts,
-// and when any rank is Fatal throws awp::Error on EVERY rank with the
+// and when any rank is Fatal throws PreflightError on EVERY rank with the
 // per-rank verdict table plus this rank's own findings. Returns the local
 // report (possibly Degraded) otherwise.
 PreflightReport collectivePreflight(vcluster::Communicator& comm,

@@ -57,24 +57,6 @@ std::vector<StallReport> Watchdog::reports() const {
   return reports_;
 }
 
-std::vector<StallReport> Watchdog::drain() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<StallReport> out(reports_.begin() +
-                                   static_cast<std::ptrdiff_t>(drained_),
-                               reports_.end());
-  drained_ = reports_.size();
-  return out;
-}
-
-Verdict verdictFor(const StallReport& report, double stallTimeoutSeconds,
-                   double fatalFactor) {
-  AWP_CHECK(stallTimeoutSeconds > 0.0 && fatalFactor >= 1.0);
-  if (report.rank < 0) return Verdict::Healthy;  // empty report: no stall
-  return report.stalledSeconds >= fatalFactor * stallTimeoutSeconds
-             ? Verdict::Fatal
-             : Verdict::Degraded;
-}
-
 void Watchdog::scanLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::duration<double>(poll_));

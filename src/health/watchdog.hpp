@@ -24,7 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "health/verdict.hpp"
 #include "util/guarded.hpp"
 
 namespace awp::health {
@@ -83,13 +82,9 @@ class Watchdog {
 
   void stop();  // idempotent; joins the scan thread
 
+  // Every episode reported so far. Consumers that act on episodes (the
+  // scenario service) take each one once through onStall instead.
   [[nodiscard]] std::vector<StallReport> reports() const;
-
-  // Consume pending (not yet drained) reports. reports() stays a full
-  // non-destructive history; drain() hands each episode to exactly one
-  // consumer — the scenario-service scheduler polls it to decide on
-  // cancellation and requeue without double-acting on an episode.
-  [[nodiscard]] std::vector<StallReport> drain();
 
  private:
   void scanLoop();
@@ -106,18 +101,7 @@ class Watchdog {
   bool episodeOpen_ AWP_GUARDED_BY(mutex_) = false;
   int episodeOrigin_ AWP_GUARDED_BY(mutex_) = -1;
   std::uint64_t episodeOriginStep_ AWP_GUARDED_BY(mutex_) = 0;
-  // reports_ prefix already handed out by drain().
-  std::size_t drained_ AWP_GUARDED_BY(mutex_) = 0;
   std::thread thread_;
 };
-
-// Map a stall episode onto the health verdict lattice so schedulers and
-// tests act on stalls with the same vocabulary as field monitoring: a
-// fresh episode is Degraded (the rank may still recover — injected stalls
-// are transient by construction); one aged past `fatalFactor` timeouts is
-// Fatal (treat the rank as lost, cancel and reschedule from checkpoint).
-[[nodiscard]] Verdict verdictFor(const StallReport& report,
-                                 double stallTimeoutSeconds,
-                                 double fatalFactor = 4.0);
 
 }  // namespace awp::health

@@ -7,8 +7,7 @@
 
 namespace awp::sched {
 
-AdmissionQueue::AdmissionQueue(std::size_t capacity, AdmitPolicy policy)
-    : capacity_(capacity), policy_(policy) {
+AdmissionQueue::AdmissionQueue(std::size_t capacity) : capacity_(capacity) {
   AWP_CHECK(capacity > 0);
   // Headroom beyond the bound: requeues bypass capacity, and the pop path
   // must never trigger a reallocation (it is a registered hot path).
@@ -29,16 +28,11 @@ void AdmissionQueue::insertSorted(JobHandle job) {
 }
 
 AdmissionQueue::PushResult AdmissionQueue::push(JobHandle job) {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   if (closed_) return PushResult::Closed;
   if (items_.size() >= capacity_) {
-    if (policy_ == AdmitPolicy::Reject) {
-      ++stats_.rejected;
-      return PushResult::Rejected;
-    }
-    ++stats_.blockedPushes;
-    space_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-    if (closed_) return PushResult::Closed;
+    ++stats_.rejected;
+    return PushResult::Rejected;
   }
   insertSorted(std::move(job));
   ++stats_.admitted;
@@ -57,20 +51,15 @@ AWP_HOT JobHandle AdmissionQueue::pop() {
   if (items_.empty()) return nullptr;
   JobHandle job = std::move(items_.back());
   items_.pop_back();
-  space_.notify_one();
   return job;
 }
 
-AWP_HOT JobHandle AdmissionQueue::popFit(int freeCores,
-                                         std::size_t freeBytes) {
+AWP_HOT JobHandle AdmissionQueue::popFit(int freeCores) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = items_.rbegin(); it != items_.rend(); ++it) {
-    const ScenarioSpec& spec = (*it)->spec;
-    if (spec.nranks > freeCores) continue;
-    if (freeBytes != 0 && spec.estimatedBytes() > freeBytes) continue;
+    if ((*it)->spec.nranks > freeCores) continue;
     JobHandle job = std::move(*it);
     items_.erase(std::next(it).base());
-    space_.notify_one();
     return job;
   }
   return nullptr;
@@ -79,7 +68,6 @@ AWP_HOT JobHandle AdmissionQueue::popFit(int freeCores,
 void AdmissionQueue::close() {
   std::lock_guard<std::mutex> lock(mutex_);
   closed_ = true;
-  space_.notify_all();
 }
 
 std::vector<JobHandle> AdmissionQueue::drainAll() {
@@ -87,7 +75,6 @@ std::vector<JobHandle> AdmissionQueue::drainAll() {
   std::vector<JobHandle> out = std::move(items_);
   items_.clear();
   items_.reserve(2 * capacity_ + 8);  // keep the hot-pop no-realloc headroom
-  space_.notify_all();
   return out;
 }
 

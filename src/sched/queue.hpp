@@ -1,10 +1,9 @@
 #pragma once
 // Bounded priority admission queue. Admission control is the service's
 // backpressure valve: the queue holds at most `capacity` jobs, and a full
-// queue either rejects the submission (Reject — the caller gets an
-// immediate Rejected handle) or blocks the submitting thread until space
-// frees (Block). Requeues after a crash/stall bypass the bound: work the
-// service already accepted must never be dropped by its own backpressure.
+// queue rejects the submission (the caller gets an immediate Rejected
+// handle). Requeues after a crash/stall bypass the bound: work the service
+// already accepted must never be dropped by its own backpressure.
 //
 // Storage is a vector kept sorted so that the BACK is always the next job
 // to run (highest priority; FIFO within a priority via the submit
@@ -12,7 +11,6 @@
 // path; pop and popFit — the dispatcher's hot path — take from the back
 // with no allocation and no throw (registered in awplint's hot registry).
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -25,27 +23,23 @@ namespace awp::sched {
 
 class AdmissionQueue {
  public:
-  enum class AdmitPolicy { Reject, Block };
   enum class PushResult { Admitted, Rejected, Closed };
 
-  AdmissionQueue(std::size_t capacity, AdmitPolicy policy);
+  explicit AdmissionQueue(std::size_t capacity);
 
-  // Admission push (honours the bound and policy). Block-policy pushes
-  // wait for space; close() releases them with Closed.
+  // Admission push: Rejected when the queue is full, Closed after close().
   PushResult push(JobHandle job);
   // Requeue push: bypasses the bound (and admission accounting).
   void pushRequeue(JobHandle job);
 
   // Highest-priority job, or nullptr when empty. No allocation, no throw.
   [[nodiscard]] JobHandle pop();
-  // Highest-priority job satisfying the resource fit (nranks <= freeCores
-  // and estimatedBytes <= freeBytes; freeBytes == 0 means unlimited), or
-  // nullptr. Scans from the back so priority order is preserved among
-  // fitting jobs. No allocation, no throw.
-  [[nodiscard]] JobHandle popFit(int freeCores, std::size_t freeBytes);
+  // Highest-priority job with nranks <= freeCores, or nullptr. Scans from
+  // the back so priority order is preserved among fitting jobs. No
+  // allocation, no throw.
+  [[nodiscard]] JobHandle popFit(int freeCores);
 
-  // No further admissions; pending jobs remain poppable. Wakes blocked
-  // pushers (they get Closed).
+  // No further admissions; pending jobs remain poppable.
   void close();
 
   // Remove and return every queued job at once (highest priority last,
@@ -62,7 +56,6 @@ class AdmissionQueue {
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
     std::uint64_t requeued = 0;
-    std::uint64_t blockedPushes = 0;  // pushes that had to wait for space
   };
   [[nodiscard]] Stats stats() const;
 
@@ -72,9 +65,7 @@ class AdmissionQueue {
   void insertSorted(JobHandle job) AWP_REQUIRES(mutex_);
 
   std::size_t capacity_;
-  AdmitPolicy policy_;
   mutable std::mutex mutex_;
-  std::condition_variable space_;
   std::vector<JobHandle> items_ AWP_GUARDED_BY(mutex_);
   bool closed_ AWP_GUARDED_BY(mutex_) = false;
   Stats stats_ AWP_GUARDED_BY(mutex_);

@@ -1,7 +1,6 @@
 #include "sched/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -10,12 +9,13 @@
 #include "core/source.hpp"
 #include "core/surface_layout.hpp"
 #include "fault/injector.hpp"
+#include "health/preflight.hpp"
 #include "io/buddy.hpp"
 #include "io/checkpoint.hpp"
 #include "io/shared_file.hpp"
 #include "mesh/partitioner.hpp"
 #include "rupture/solver.hpp"
-#include "telemetry/chrome_trace.hpp"
+#include "telemetry/registry.hpp"
 #include "util/error.hpp"
 #include "util/hot.hpp"
 #include "vcluster/cart.hpp"
@@ -27,6 +27,11 @@ namespace awp::sched {
 namespace fs = std::filesystem;
 
 namespace {
+
+// Collective cancel-poll cadence, in steps.
+constexpr std::size_t kCancelCheckEverySteps = 2;
+// dt scale applied on a fatal-verdict requeue.
+constexpr double kRetryDtTighten = 0.5;
 
 std::string productKey(const std::string& specHash) {
   return "prod:" + specHash;
@@ -154,7 +159,7 @@ const char* toString(RequeueCause cause) {
 ScenarioService::ScenarioService(ServiceConfig config)
     : config_(std::move(config)),
       cache_(config_.cacheDir),
-      queue_(config_.queueCapacity, config_.admitPolicy),
+      queue_(config_.queueCapacity),
       coreBusy_(static_cast<std::size_t>(std::max(1, config_.coreBudget)),
                 0) {
   AWP_CHECK_MSG(config_.coreBudget >= 1, "sched: core budget must be >= 1");
@@ -163,13 +168,6 @@ ScenarioService::ScenarioService(ServiceConfig config)
   if (config_.workDir.empty())
     config_.workDir = (fs::temp_directory_path() / "awp-sched").string();
   fs::create_directories(config_.workDir);
-  if (config_.telemetry && telemetry::activeSession() == nullptr) {
-    telemetry::SessionConfig sc;
-    sc.nranks = config_.coreBudget;
-    sc.ringCapacity = config_.telemetryRingCapacity;
-    ownedSession_ = std::make_unique<telemetry::Session>(sc);
-    telemetry::installSession(ownedSession_.get());
-  }
   dispatcher_ = std::thread([this] { dispatcherLoop(); });
 }
 
@@ -263,12 +261,7 @@ AWP_HOT bool ScenarioService::dispatchNext(Dispatch& out) {
   int freeCores = 0;
   for (std::size_t i = 0; i < coreBusy_.size(); ++i)
     if (coreBusy_[i] == 0) ++freeCores;
-  std::size_t freeBytes = 0;  // 0 = unlimited for popFit
-  if (config_.memoryBudgetBytes != 0)
-    freeBytes = config_.memoryBudgetBytes > memoryUsed_
-                    ? config_.memoryBudgetBytes - memoryUsed_
-                    : 1;  // fully committed: nothing real fits
-  JobHandle job = queue_.popFit(freeCores, freeBytes);
+  JobHandle job = queue_.popFit(freeCores);
   if (job == nullptr) return false;
   // Contiguous first-fit core range (slot = base + rank needs a run).
   const int need = job->spec.nranks;
@@ -292,11 +285,8 @@ AWP_HOT bool ScenarioService::dispatchNext(Dispatch& out) {
   }
   for (int i = 0; i < need; ++i)
     coreBusy_[static_cast<std::size_t>(base + i)] = 1;
-  const std::size_t bytes = job->spec.estimatedBytes();
-  memoryUsed_ += bytes;
   out.job = std::move(job);
   out.coreBase = base;
-  out.bytes = bytes;
   return true;
 }
 
@@ -339,7 +329,6 @@ void ScenarioService::workerMain(Dispatch d) {
       std::lock_guard<std::mutex> lock(dispatchMu_);
       for (int i = 0; i < d.job->spec.nranks; ++i)
         coreBusy_[static_cast<std::size_t>(d.coreBase + i)] = 0;
-      memoryUsed_ -= d.bytes;
       --activeWorkers_;
       signal_ = true;
       // Workers are detached: notify under the mutex so the dispatcher
@@ -382,13 +371,15 @@ void ScenarioService::workerMain(Dispatch d) {
       ++d.job->respawnEscalations;
     }
     telemetry::count(telemetry::Counter::RespawnEscalations);
-    recordRecoveryInstant(
-        "respawn escalation rank " + std::to_string(e.rank()),
-        std::chrono::steady_clock::now());
     maybeRequeue(d.job,
                  e.cause() == "stall" ? RequeueCause::Stall
                                       : RequeueCause::WorkerCrash,
                  d.job->lastStep.load(std::memory_order_relaxed), e.what());
+  } catch (const health::PreflightError& e) {
+    // The inputs themselves are rejected: every retry would meet the same
+    // verdict, so the job fails on this attempt.
+    settleTerminal(d.job, JobPhase::Failed, e.what(), {},
+                   /*countedPrimary=*/true);
   } catch (const Error& e) {
     // A health-guard abort (rollback budget exhausted) surfaces here as a
     // collective Error: requeue with a tightened dt.
@@ -402,7 +393,6 @@ void ScenarioService::workerMain(Dispatch d) {
     std::lock_guard<std::mutex> lock(dispatchMu_);
     for (int i = 0; i < d.job->spec.nranks; ++i)
       coreBusy_[static_cast<std::size_t>(d.coreBase + i)] = 0;
-    memoryUsed_ -= d.bytes;
     --activeWorkers_;
     signal_ = true;
     // Detached-thread epilogue: see the abort branch above — the notify
@@ -472,9 +462,6 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
       ++job.respawns;
     }
     telemetry::count(telemetry::Counter::RankRespawns);
-    recordRecoveryInstant("respawn rank " + std::to_string(ev.rank) + " (" +
-                              ev.cause + ")",
-                          ev.at);
   };
   opts.onQuiesce = [&quiesceSpans](int rank, bool entering) {
     auto& span = quiesceSpans[static_cast<std::size_t>(rank)];
@@ -513,7 +500,6 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
   io::CheckpointStore checkpoints((fs::path(jobDir) / "ckpt").string());
   const std::string surfacePath =
       (fs::path(jobDir) / "surface.bin").string();
-  const int cancelEvery = std::max(1, config_.cancelCheckEverySteps);
   rupture::FaultHistory history;  // rank 0's gather, rupture kind only
   double dtOverride = 0.0;
   {
@@ -624,7 +610,7 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
                 job.requestCancel(RequeueCause::WorkerCrash);
             }
           }
-          if (step % static_cast<std::size_t>(cancelEvery) == 0) {
+          if (step % kCancelCheckEverySteps == 0) {
             const std::int64_t flag = comm.allreduce(
                 static_cast<std::int64_t>(
                     job.cancelRequested.load(std::memory_order_relaxed)),
@@ -687,7 +673,7 @@ void ScenarioService::maybeRequeue(const JobHandle& job, RequeueCause cause,
       if (cause == RequeueCause::FatalVerdict) {
         // The attempt was numerically unstable: resume on a tighter dt.
         const double last = job->lastDt.load(std::memory_order_relaxed);
-        if (last > 0.0) job->dtOverride = last * config_.retryDtTighten;
+        if (last > 0.0) job->dtOverride = last * kRetryDtTighten;
       }
       // Crash/stall retries keep dt so the resumed run is bit-identical.
       ev.dtNext = job->dtOverride;
@@ -762,20 +748,6 @@ void ScenarioService::recordStall(const health::StallReport& report) {
   stalls_.push_back(report);
 }
 
-void ScenarioService::recordRecoveryInstant(
-    const std::string& name, std::chrono::steady_clock::time_point at) {
-  const telemetry::Session* session = telemetry::activeSession();
-  if (session == nullptr) return;
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      at - session->epoch())
-                      .count();
-  telemetry::InstantEvent ev;
-  ev.name = name;
-  ev.tsNs = ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
-  std::lock_guard<std::mutex> lock(recoveryMu_);
-  recoveryInstants_.push_back(std::move(ev));
-}
-
 std::vector<health::StallReport> ScenarioService::stallEpisodes() const {
   std::lock_guard<std::mutex> lock(stallMu_);
   return stalls_;
@@ -831,18 +803,6 @@ void ScenarioService::shutdown() {
   }
   dispatchCv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
-  if (ownedSession_ != nullptr) {
-    if (!config_.chromeTracePath.empty()) {
-      std::vector<telemetry::InstantEvent> instants;
-      {
-        std::lock_guard<std::mutex> lock(recoveryMu_);
-        instants = recoveryInstants_;
-      }
-      telemetry::writeChromeTraceFile(config_.chromeTracePath,
-                                      *ownedSession_, instants);
-    }
-    telemetry::installSession(nullptr);
-  }
 }
 
 std::optional<ScenarioProducts> ScenarioService::cachedProducts(

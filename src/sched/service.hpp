@@ -1,8 +1,8 @@
 #pragma once
 // ScenarioService: the ensemble scheduler. An operator submits
 // ScenarioSpecs; the service admits them through a bounded priority queue
-// (backpressure: reject or block), leases contiguous thread-cluster core
-// ranges out of a global core/memory budget, and runs each scenario as an
+// (backpressure: a full queue rejects), leases contiguous thread-cluster
+// core ranges out of a global core budget, and runs each scenario as an
 // SPMD job under the health guard with a per-attempt watchdog. Identical
 // in-flight specs coalesce onto one execution; completed products are
 // memoized in a content-addressed artifact cache (spec-hash keyed, MD5
@@ -17,7 +17,8 @@
 // checkpoint at the SAME dt — the completed products are bit-identical to
 // an uninterrupted run. Fatal-verdict retries tighten dt (the run was
 // numerically unstable; reproducing it exactly would reproduce the
-// blow-up).
+// blow-up). A preflight rejection is not retried: it judges the inputs,
+// which a retry does not change.
 
 #include <atomic>
 #include <condition_variable>
@@ -36,23 +37,16 @@
 #include "sched/publish.hpp"
 #include "sched/queue.hpp"
 #include "sched/report.hpp"
-#include "telemetry/chrome_trace.hpp"
-#include "telemetry/registry.hpp"
 #include "util/timer.hpp"
 
 namespace awp::sched {
 
 struct ServiceConfig {
   int coreBudget = 4;               // total rank threads leasable at once
-  std::size_t memoryBudgetBytes = 0;  // admission memory budget (0 = none)
   std::size_t queueCapacity = 16;
-  AdmissionQueue::AdmitPolicy admitPolicy =
-      AdmissionQueue::AdmitPolicy::Reject;
   int maxRetries = 2;               // requeues before a job is poison
   double stallTimeoutSeconds = 30.0;  // per-attempt watchdog (> 0)
   double watchdogPollSeconds = 0.05;
-  int cancelCheckEverySteps = 2;    // collective cancel-poll cadence
-  double retryDtTighten = 0.5;      // dt scale on fatal-verdict requeue
   // Recovery ladder (every attempt): in-place rank respawns allowed per
   // attempt before a loss escalates to cancel-and-requeue. Separate from
   // maxRetries — a respawn repairs the RUNNING attempt; a retry restarts
@@ -66,10 +60,7 @@ struct ServiceConfig {
   bool cacheProducts = true;        // memoize completed scenario products
   std::string cacheDir;             // "" = in-memory artifact cache only
   std::string workDir;              // "" = <tmp>/awp-sched
-  // Telemetry: when true and no session is installed, the service owns a
-  // Session sized to the core budget (slot = lease base + rank) so spans
-  // and counters from concurrent jobs never collide.
-  bool telemetry = false;
+  // Spans and counters go to whichever telemetry session is installed.
   // Slot offset added to every lease base (slot = slotBase + lease base +
   // rank). Zero for a standalone service; the hazard fabric gives each of
   // its brokers a disjoint slot range of one shared session so concurrent
@@ -81,8 +72,6 @@ struct ServiceConfig {
   // exists; the fabric runs several dispatchers concurrently and gives
   // each its own lane.
   int dispatcherTelemetrySlot = -1;
-  std::size_t telemetryRingCapacity = std::size_t{1} << 16;
-  std::string chromeTracePath;      // whole-service trace at shutdown
   // Serving-tier hook (not owned; may be null). Wave jobs report surface
   // window flushes and scenario completions — fresh runs AND cache hits,
   // so a serving tier converges to canonical products either way.
@@ -101,8 +90,7 @@ class ScenarioService {
 
   // Admission-controlled submission. Returns immediately with a handle:
   // Completed (cache hit), Rejected (backpressure / closed), or Queued.
-  // With the Block policy a full queue blocks the caller until space
-  // frees. job->wait() blocks until the job settles.
+  // job->wait() blocks until the job settles.
   JobHandle submit(ScenarioSpec spec);
 
   // Block until every admitted job has settled (admissions stay open).
@@ -146,12 +134,11 @@ class ScenarioService {
   struct Dispatch {
     JobHandle job;
     int coreBase = -1;
-    std::size_t bytes = 0;
   };
 
-  // Pop the best fitting job and lease it a contiguous core range +
-  // memory. Registered hot path: no allocation, no throw (a
-  // fragmented-budget pop is pushed back, not dropped).
+  // Pop the best fitting job and lease it a contiguous core range.
+  // Registered hot path: no allocation, no throw (a fragmented-budget pop
+  // is pushed back, not dropped).
   bool dispatchNext(Dispatch& out) AWP_REQUIRES(dispatchMu_);
   void dispatcherLoop();
   void workerMain(Dispatch d);
@@ -166,24 +153,16 @@ class ScenarioService {
                       const std::string& error, ScenarioProducts products,
                       bool countedPrimary);
   void recordStall(const health::StallReport& report);
-  // Respawn/escalation markers for the chrome trace's service lane; `at`
-  // is converted to ns since the active telemetry session's epoch (no-op
-  // without a session).
-  void recordRecoveryInstant(const std::string& name,
-                             std::chrono::steady_clock::time_point at);
 
   ServiceConfig config_;
   ArtifactCache cache_;
   AdmissionQueue queue_;
   Stopwatch epoch_;
 
-  std::unique_ptr<telemetry::Session> ownedSession_;
-
-  // Dispatcher state (dispatchMu_): core/memory accounting + lifecycle.
+  // Dispatcher state (dispatchMu_): core accounting + lifecycle.
   mutable std::mutex dispatchMu_;
   std::condition_variable dispatchCv_;
   std::vector<char> coreBusy_ AWP_GUARDED_BY(dispatchMu_);
-  std::size_t memoryUsed_ AWP_GUARDED_BY(dispatchMu_) = 0;
   int activeWorkers_ AWP_GUARDED_BY(dispatchMu_) = 0;
   bool signal_ AWP_GUARDED_BY(dispatchMu_) = false;
   bool stopping_ AWP_GUARDED_BY(dispatchMu_) = false;
@@ -201,10 +180,6 @@ class ScenarioService {
 
   mutable std::mutex stallMu_;
   std::vector<health::StallReport> stalls_ AWP_GUARDED_BY(stallMu_);
-
-  mutable std::mutex recoveryMu_;
-  std::vector<telemetry::InstantEvent> recoveryInstants_
-      AWP_GUARDED_BY(recoveryMu_);
 
   std::atomic<std::uint64_t> submitSeq_{0};
   std::atomic<std::uint64_t> executedAttempts_{0};

@@ -210,15 +210,6 @@ ScenarioSpec ScenarioSpec::decodeCanonical(
   return s;
 }
 
-std::size_t ScenarioSpec::estimatedBytes() const {
-  // Admission-control estimate: the staggered grid holds ~20 float fields
-  // per cell (velocities, stresses, material, attenuation memory), plus
-  // halo padding and solver scratch. Deliberately generous.
-  constexpr std::size_t kBytesPerCell = 160;
-  if (kind == ScenarioKind::Wave) return dims.count() * kBytesPerCell;
-  return ruptureConfig().globalDims.count() * kBytesPerCell;
-}
-
 rupture::RuptureConfig ScenarioSpec::ruptureConfig() const {
   rupture::RuptureConfig config;
   // Round, don't truncate: a lengthKm produced as nx*h/1000 must map back

@@ -78,8 +78,6 @@ struct ScenarioSpec {
   // defaulted. Throws awp::Error on bad magic or truncation.
   static ScenarioSpec decodeCanonical(const std::vector<std::byte>& data);
 
-  // Rough resident-memory estimate for admission control [bytes].
-  [[nodiscard]] std::size_t estimatedBytes() const;
   // The rupture solver configuration a rupture-kind spec runs with: the
   // fault plane plus 14-cell absorbing margins, friction scaled to h, the
   // seeded stress model (or the cycle stress snapshot).

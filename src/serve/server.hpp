@@ -52,9 +52,6 @@ struct ServeConfig {
   int tileEdge = 16;        // tile size in surface points (square)
   int windowSamples = 4;    // min new samples between partial publishes
   int reconcileEveryTicks = 50;  // broker pump ticks between reconciles
-  // Default publish origin for a standalone server (fault-injection rank
-  // of the serve_* sites). Fabric brokers pass their broker id per call.
-  int originId = 0;
 };
 
 // One tile-version advance, as delivered to subscribers.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "telemetry/json.hpp"
 #include "util/error.hpp"
@@ -50,18 +51,7 @@ void appendSpan(std::ostringstream& os, const LaneSpan& s, bool& first) {
      << s.step << ", \"depth\": " << s.depth << "}}";
 }
 
-void appendInstant(std::ostringstream& os, const InstantEvent& ev, int lane,
-                   bool& first) {
-  if (!first) os << ",\n";
-  first = false;
-  // Thread-scoped instant ("s":"t"): a vertical tick on the service lane.
-  os << "{\"name\": \"" << escapeJson(ev.name)
-     << "\", \"cat\": \"recovery\", \"ph\": \"i\", \"s\": \"t\", \"ts\": "
-     << fmtMicros(ev.tsNs) << ", \"pid\": 0, \"tid\": " << lane << "}";
-}
-
-std::string render(const std::vector<LaneSpan>& spans, int serviceLane,
-                   const std::vector<InstantEvent>& instants = {}) {
+std::string render(const std::vector<LaneSpan>& spans, int serviceLane) {
   std::ostringstream os;
   os << "[\n";
   bool first = true;
@@ -70,7 +60,6 @@ std::string render(const std::vector<LaneSpan>& spans, int serviceLane,
   first = false;
   std::vector<int> lanes;
   for (const LaneSpan& s : spans) lanes.push_back(s.lane);
-  if (!instants.empty()) lanes.push_back(serviceLane);
   std::sort(lanes.begin(), lanes.end());
   lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
   for (int lane : lanes) {
@@ -80,8 +69,6 @@ std::string render(const std::vector<LaneSpan>& spans, int serviceLane,
                first);
   }
   for (const LaneSpan& s : spans) appendSpan(os, s, first);
-  for (const InstantEvent& ev : instants)
-    appendInstant(os, ev, serviceLane, first);
   os << "\n]\n";
   return os.str();
 }
@@ -103,13 +90,12 @@ void collectSlot(const RankTelemetry& slot, int lane,
 
 }  // namespace
 
-std::string toChromeTrace(const Session& session,
-                          const std::vector<InstantEvent>& instants) {
+std::string toChromeTrace(const Session& session) {
   std::vector<LaneSpan> spans;
   for (int r = 0; r < session.nranks(); ++r)
     collectSlot(session.slot(r), r, spans);
   collectSlot(session.offRankSlot(), session.nranks(), spans);
-  return render(spans, session.nranks(), instants);
+  return render(spans, session.nranks());
 }
 
 std::string chromeTraceFromJsonl(const std::string& jsonl) {
@@ -170,9 +156,8 @@ std::string chromeTraceFromJsonl(const std::string& jsonl) {
   return render(spans, serviceLane);
 }
 
-void writeChromeTraceFile(const std::string& path, const Session& session,
-                          const std::vector<InstantEvent>& instants) {
-  writeTextAtomically(path, toChromeTrace(session, instants));
+void writeChromeTraceFile(const std::string& path, const Session& session) {
+  writeTextAtomically(path, toChromeTrace(session));
 }
 
 }  // namespace awp::telemetry

@@ -8,27 +8,15 @@
 // viewer can filter re-execution out of the useful-work picture.
 
 #include <string>
-#include <vector>
 
 #include "telemetry/registry.hpp"
 
 namespace awp::telemetry {
 
-// A point-in-time marker rendered as a chrome-trace instant event
-// ("ph":"i") on the service lane — respawn and escalation episodes use
-// these, since they are moments in the supervisor's timeline rather than
-// any rank's span.
-struct InstantEvent {
-  std::string name;
-  std::uint64_t tsNs = 0;  // ns since the session epoch
-};
-
 // Render every slot of the session (ranks 0..nranks-1 plus the off-rank
 // slot as lane nranks, named "service"). Call after the rank threads have
 // joined — trace rings are single-writer and read here without locks.
-// `instants` (optional) are drawn on the service lane.
-[[nodiscard]] std::string toChromeTrace(
-    const Session& session, const std::vector<InstantEvent>& instants = {});
+[[nodiscard]] std::string toChromeTrace(const Session& session);
 
 // Same conversion from JSONL trace lines (the writeTraceFile format):
 // one span object per line, possibly concatenated from several per-rank
@@ -36,9 +24,7 @@ struct InstantEvent {
 // maps to the "service" lane). Throws awp::Error on malformed lines.
 [[nodiscard]] std::string chromeTraceFromJsonl(const std::string& jsonl);
 
-// Write toChromeTrace(session, instants) to `path` atomically (tmp +
-// rename).
-void writeChromeTraceFile(const std::string& path, const Session& session,
-                          const std::vector<InstantEvent>& instants = {});
+// Write toChromeTrace(session) to `path` atomically (tmp + rename).
+void writeChromeTraceFile(const std::string& path, const Session& session);
 
 }  // namespace awp::telemetry

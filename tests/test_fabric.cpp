@@ -1,8 +1,8 @@
 // Fault-tolerant hazard fabric tests: consistent-hash routing, lease-based
 // membership, transport fault injection, submission-log replay, degraded
-// mode, and the broker-death chaos acceptance run (kill 1 of 3 brokers
-// mid-ensemble; every scenario still completes bit-identically, exactly
-// once).
+// mode, the fabric-owned telemetry session, and the broker-death chaos
+// acceptance run (kill 1 of 3 brokers mid-ensemble; every scenario still
+// completes bit-identically, exactly once).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -23,6 +23,7 @@
 #include "fault/injector.hpp"
 #include "sched/report.hpp"
 #include "sched/spec.hpp"
+#include "telemetry/registry.hpp"
 #include "util/error.hpp"
 #include "util/retry.hpp"
 
@@ -323,6 +324,53 @@ TEST(Fabric, EnsembleCompletesWithCoalescedResubmission) {
         << "broker report invalid: " << problems.front();
   }
   fabric.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Fabric-owned telemetry session
+
+// FabricConfig::telemetry gives every span writer of the fabric its own
+// lane of one session: brokers x coreBudget rank lanes, then a dispatcher
+// lane and a pump lane per broker. shutdown() uninstalls the session, and
+// its spans stay readable until the fabric is destroyed.
+TEST(Fabric, OwnedTelemetrySessionGivesEveryWriterALane) {
+  ASSERT_EQ(telemetry::activeSession(), nullptr);
+  const fs::path root = tempDir("telemetry");
+  const int brokers = 2;
+  FabricConfig config = smallFabricConfig(root, brokers);
+  config.telemetry = true;
+  HazardFabric fabric(config);
+  const telemetry::Session* session = telemetry::activeSession();
+  ASSERT_NE(session, nullptr);
+  const int totalCores = brokers * config.service.coreBudget;
+  EXPECT_EQ(session->nranks(), totalCores + 2 * brokers);
+
+  FabricJobHandle job = fabric.submit(smallWaveSpec(12));
+  EXPECT_EQ(job->wait(), sched::JobPhase::Completed);
+  fabric.shutdown();
+  EXPECT_EQ(telemetry::activeSession(), nullptr);
+
+  auto lanePhases = [&](int lane) {
+    std::set<telemetry::Phase> phases;
+    for (const auto& rec : session->slot(lane).traceSnapshot())
+      phases.insert(rec.phase);
+    return phases;
+  };
+  bool kernelSpans = false;
+  for (int lane = 0; lane < totalCores; ++lane)
+    if (lanePhases(lane).count(telemetry::Phase::VelocityKernel) > 0)
+      kernelSpans = true;
+  EXPECT_TRUE(kernelSpans) << "no rank lane holds kernel spans";
+  for (int i = 0; i < brokers; ++i) {
+    EXPECT_EQ(lanePhases(totalCores + i).count(telemetry::Phase::SchedQueue),
+              1u)
+        << "dispatcher lane of broker " << i;
+    EXPECT_EQ(lanePhases(totalCores + brokers + i)
+                  .count(telemetry::Phase::FabricHeartbeat),
+              1u)
+        << "pump lane of broker " << i;
+  }
+  fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 // Scenario-service tests: spec hashing, the bounded priority admission
-// queue (backpressure both policies), the content-addressed artifact cache
-// (single-flight + disk tier), watchdog drain/verdict, the chrome-trace
-// exporter, sched_* runtime-config keys, report validation, and the
-// end-to-end service guarantees — cache-hit bit-identity without re-run,
-// crash -> requeue -> checkpoint-resume equivalence, stall -> requeue
-// equivalence, admission rejection under saturation, and in-flight
-// coalescing.
+// queue (backpressure by rejection), the content-addressed artifact cache
+// (single-flight + disk tier), watchdog episode history, the chrome-trace
+// exporter, report validation, and the end-to-end service guarantees —
+// cache-hit bit-identity without re-run, crash -> requeue ->
+// checkpoint-resume equivalence, stall -> requeue equivalence, admission
+// rejection under saturation, in-flight coalescing, and no retry of a
+// preflight rejection.
 
 #include <gtest/gtest.h>
 
@@ -164,7 +164,7 @@ TEST(ScenarioSpec, ProductsSerializeRoundTripAndDetectCorruption) {
 // Admission queue
 
 TEST(AdmissionQueue, PriorityOrderWithFifoTies) {
-  AdmissionQueue q(8, AdmissionQueue::AdmitPolicy::Reject);
+  AdmissionQueue q(8);
   EXPECT_EQ(q.push(makeJob(1, 0)), AdmissionQueue::PushResult::Admitted);
   EXPECT_EQ(q.push(makeJob(3, 1)), AdmissionQueue::PushResult::Admitted);
   EXPECT_EQ(q.push(makeJob(3, 2)), AdmissionQueue::PushResult::Admitted);
@@ -185,7 +185,7 @@ TEST(AdmissionQueue, PriorityOrderWithFifoTies) {
 }
 
 TEST(AdmissionQueue, RejectPolicyBoundsDepthButRequeueBypasses) {
-  AdmissionQueue q(2, AdmissionQueue::AdmitPolicy::Reject);
+  AdmissionQueue q(2);
   EXPECT_EQ(q.push(makeJob(0, 0)), AdmissionQueue::PushResult::Admitted);
   EXPECT_EQ(q.push(makeJob(0, 1)), AdmissionQueue::PushResult::Admitted);
   EXPECT_EQ(q.push(makeJob(0, 2)), AdmissionQueue::PushResult::Rejected);
@@ -205,33 +205,8 @@ TEST(AdmissionQueue, RejectPolicyBoundsDepthButRequeueBypasses) {
   EXPECT_EQ(stats.requeued, 2u);
 }
 
-TEST(AdmissionQueue, BlockPolicyWaitsForSpaceAndCloseReleases) {
-  AdmissionQueue q(1, AdmissionQueue::AdmitPolicy::Block);
-  EXPECT_EQ(q.push(makeJob(0, 0)), AdmissionQueue::PushResult::Admitted);
-
-  std::atomic<int> admitted{0};
-  std::thread pusher([&] {
-    if (q.push(makeJob(0, 1)) == AdmissionQueue::PushResult::Admitted)
-      admitted.fetch_add(1);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(admitted.load(), 0);  // still blocked on the full queue
-  ASSERT_NE(q.pop(), nullptr);
-  pusher.join();
-  EXPECT_EQ(admitted.load(), 1);
-  EXPECT_GE(q.stats().blockedPushes, 1u);
-
-  // A pusher blocked at close() time gets Closed, not a hang.
-  std::thread lateClosed([&] {
-    EXPECT_EQ(q.push(makeJob(0, 2)), AdmissionQueue::PushResult::Closed);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  q.close();
-  lateClosed.join();
-}
-
-TEST(AdmissionQueue, PopFitHonoursCoreAndMemoryLimits) {
-  AdmissionQueue q(8, AdmissionQueue::AdmitPolicy::Reject);
+TEST(AdmissionQueue, PopFitHonoursTheCoreLimit) {
+  AdmissionQueue q(8);
   auto wide = makeJob(/*priority=*/5, 0, /*nranks=*/4);
   auto narrow = makeJob(/*priority=*/1, 1, /*nranks=*/1);
   ASSERT_EQ(q.push(wide), AdmissionQueue::PushResult::Admitted);
@@ -239,13 +214,11 @@ TEST(AdmissionQueue, PopFitHonoursCoreAndMemoryLimits) {
 
   // Only 2 free cores: the higher-priority 4-rank job does not fit, the
   // 1-rank job runs instead of idling the machine.
-  auto fit = q.popFit(/*freeCores=*/2, /*freeBytes=*/0);
+  auto fit = q.popFit(/*freeCores=*/2);
   ASSERT_NE(fit, nullptr);
   EXPECT_EQ(fit->spec.nranks, 1);
 
-  // A 1-byte allowance fits nothing real; 0 means unlimited.
-  EXPECT_EQ(q.popFit(/*freeCores=*/8, /*freeBytes=*/1), nullptr);
-  auto rest = q.popFit(/*freeCores=*/8, /*freeBytes=*/0);
+  auto rest = q.popFit(/*freeCores=*/8);
   ASSERT_NE(rest, nullptr);
   EXPECT_EQ(rest->spec.nranks, 4);
 }
@@ -308,9 +281,9 @@ TEST(ArtifactCache, DiskTierRoundTripsAndCorruptEntryIsMiss) {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog: consumable episodes and verdict mapping
+// Watchdog: episode history
 
-TEST(Watchdog, DrainHandsEachEpisodeToExactlyOneConsumer) {
+TEST(Watchdog, ReportsKeepEachStallEpisode) {
   health::HeartbeatBoard board(2);
   board.beat(0, 1);
   board.beat(1, 1);
@@ -321,28 +294,10 @@ TEST(Watchdog, DrainHandsEachEpisodeToExactlyOneConsumer) {
   dog.stop();
 
   ASSERT_FALSE(dog.reports().empty());
-  auto first = dog.drain();
-  EXPECT_EQ(first.size(), dog.reports().size());
-  EXPECT_TRUE(dog.drain().empty());          // already consumed
-  EXPECT_FALSE(dog.reports().empty());       // history is non-destructive
+  const auto first = dog.reports();
+  EXPECT_EQ(dog.reports().size(), first.size());  // history is non-destructive
   EXPECT_FALSE(first.front().stalledRanks.empty());
   EXPECT_GE(first.front().stalledSeconds, 0.1);
-}
-
-TEST(Watchdog, VerdictForMapsEpisodeAgeOntoTheLattice) {
-  health::StallReport none;  // rank = -1: no stall
-  EXPECT_EQ(health::verdictFor(none, 0.1), health::Verdict::Healthy);
-
-  health::StallReport fresh;
-  fresh.rank = 0;
-  fresh.stalledSeconds = 0.15;
-  EXPECT_EQ(health::verdictFor(fresh, 0.1), health::Verdict::Degraded);
-
-  health::StallReport aged = fresh;
-  aged.stalledSeconds = 0.5;  // past fatalFactor (4) x timeout
-  EXPECT_EQ(health::verdictFor(aged, 0.1), health::Verdict::Fatal);
-  EXPECT_EQ(health::verdictFor(aged, 0.1, /*fatalFactor=*/10.0),
-            health::Verdict::Degraded);
 }
 
 // ---------------------------------------------------------------------------
@@ -824,7 +779,6 @@ TEST(ScenarioService, SaturatedQueueRejectsNewSubmissions) {
   ServiceConfig cfg;
   cfg.coreBudget = 1;
   cfg.queueCapacity = 1;
-  cfg.admitPolicy = AdmissionQueue::AdmitPolicy::Reject;
   cfg.workDir = work.string();
   ScenarioService service(cfg);
 
@@ -915,6 +869,48 @@ TEST(ScenarioService, RunsRuptureScenarioToFaultHistoryProduct) {
   ASSERT_EQ(report.jobs.size(), 1u);
   EXPECT_EQ(report.jobs[0].kind, "rupture");
   EXPECT_TRUE(validateServiceReportJson(toJson(report)).empty());
+  fs::remove_all(work);
+}
+
+// A preflight rejection judges the inputs, which no retry changes: the job
+// fails on its first attempt with the preflight's message, and dt is never
+// tightened.
+TEST(ScenarioService, PreflightRejectionFailsWithoutRetry) {
+  const fs::path work = tempDir("svc-preflight");
+  ServiceConfig cfg;
+  cfg.workDir = work.string();
+  ScenarioService service(cfg);
+
+  ScenarioSpec wideSponge = smallWaveSpec();
+  wideSponge.dims = {16, 12, 8};
+  wideSponge.nranks = 1;
+  wideSponge.spongeWidth = 40;
+  wideSponge.name = "sponge-wider-than-domain";
+
+  ScenarioSpec thinBlocks = smallWaveSpec();
+  thinBlocks.dims = {6, 4, 4};
+  thinBlocks.nranks = 4;
+  thinBlocks.name = "rank-blocks-below-halo";
+
+  ScenarioSpec smallFault;
+  smallFault.kind = ScenarioKind::Rupture;
+  smallFault.nranks = 1;
+  smallFault.steps = 16;
+  smallFault.h = 600.0;
+  smallFault.lengthKm = 12.0;  // the nucleation patch exceeds 25% of it
+  smallFault.depthKm = 6.0;
+  smallFault.seed = 42;
+  smallFault.name = "nucleation-patch-too-large";
+
+  for (const ScenarioSpec& spec : {wideSponge, thinBlocks, smallFault}) {
+    auto job = service.submit(spec);
+    EXPECT_EQ(job->wait(), JobPhase::Failed) << spec.name;
+    std::lock_guard<std::mutex> lock(job->mutex);
+    EXPECT_EQ(job->attempts, 1) << spec.name;
+    EXPECT_TRUE(job->requeues.empty()) << spec.name;
+    EXPECT_EQ(job->dtOverride, 0.0) << spec.name;
+    EXPECT_NE(job->error.find("preflight"), std::string::npos) << job->error;
+  }
   fs::remove_all(work);
 }
 

@@ -11,8 +11,7 @@ const std::vector<std::string>& semanticRankReturnSeeds() {
   // the token engine cannot see (no rank identifier appears in their
   // bodies; the values themselves differ across ranks). Reviewed set.
   static const std::vector<std::string> kSeeds = {
-      "scan", "runPreflight", "runRupturePreflight", "allFinite",
-      "verdictFor"};
+      "scan", "runPreflight", "runRupturePreflight", "allFinite"};
   return kSeeds;
 }
 
