@@ -39,6 +39,12 @@ Broker::Broker(BrokerConfig config, const HashRing* ring,
       clock_(clock),
       settle_(std::move(settle)),
       event_(std::move(event)) {
+  // A settle wakes the pump so reapCompletions runs now, not next tick.
+  // The hook runs on the service's workers; the transport (and with it
+  // the doorbell) outlives this broker and its service.
+  config_.service.onSettle = [transport, id = config_.id] {
+    transport->ring(id);
+  };
   service_ = std::make_unique<sched::ScenarioService>(config_.service);
   // Until the first view fetch, route as if everyone is live — the board
   // starts that way, so the optimistic snapshot can only be wrong in the
@@ -58,6 +64,7 @@ void Broker::start() {
 
 void Broker::stop() {
   stopFlag_.store(true, std::memory_order_relaxed);
+  transport_->ring(config_.id);
   if (pump_.joinable()) pump_.join();
   // After a fail-stop the service was already aborted; shutdown is
   // idempotent either way.
@@ -73,11 +80,22 @@ void Broker::pumpLoop() {
     telemetry::setThreadSlotBase(config_.pumpTelemetrySlot);
     telemetry::resetThreadSpans();
   }
+  using Clock = std::chrono::steady_clock;
+  const auto interval = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(config_.pumpIntervalSeconds));
+  auto nextTick = Clock::now();
   while (!stopFlag_.load(std::memory_order_relaxed)) {
-    pumpOnce();
+    // A ring that lands after the deadline still gets the full tick,
+    // which does the event work too: a busy inbox never starves the timer.
+    if (transport_->waitDoorbell(config_.id, nextTick) &&
+        Clock::now() < nextTick) {
+      if (stopFlag_.load(std::memory_order_relaxed)) return;
+      routeAndSettle();
+    } else {
+      pumpOnce();
+      nextTick = Clock::now() + interval;
+    }
     if (state() == BrokerState::Dead) return;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(config_.pumpIntervalSeconds));
   }
 }
 
@@ -95,14 +113,19 @@ void Broker::pumpOnce() {
     heartbeat(now);
     nextHeartbeat_ = now + config_.heartbeatSeconds;
   }
-  drainInbox();
-  reapCompletions();
-  if (state() == BrokerState::Active) flushDeferred();
+  routeAndSettle();
   ++pumpTicks_;
   if (config_.reconcile && config_.reconcileEveryTicks > 0 &&
       pumpTicks_ % static_cast<std::uint64_t>(config_.reconcileEveryTicks) ==
           0)
     config_.reconcile();
+}
+
+void Broker::routeAndSettle() {
+  if (state() == BrokerState::Dead) return;
+  drainInbox();
+  reapCompletions();
+  if (state() == BrokerState::Active) flushDeferred();
 }
 
 void Broker::heartbeat(double now) {
@@ -248,7 +271,9 @@ void Broker::reapCompletions() {
     {
       std::lock_guard<std::mutex> lock(job->mutex);
       phase = job->phase;
-      products = job->products;
+      // The fabric job keeps the products; the service's row needs only
+      // completedSteps, which a move leaves in place.
+      products = std::move(job->products);
       error = job->error;
     }
     if (phase == sched::JobPhase::Completed) {

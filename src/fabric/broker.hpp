@@ -4,6 +4,11 @@
 // transport inbox, replays submission-log records it newly owns after a
 // membership epoch bump, and reaps local completions back to the fabric.
 //
+// The pump sleeps on its inbox doorbell (transport.hpp). Inbox deliveries,
+// local settles and stop() ring it, and a ring runs routeAndSettle only;
+// the broker_death consult, heartbeat and reconcile count stay on the
+// pumpIntervalSeconds timer tick, so "Nth pump tick" keeps its meaning.
+//
 // State machine:
 //   Active   — routes submissions by the consistent-hash ring: owned
 //              digests run locally, the rest are forwarded (at-least-once
@@ -124,7 +129,9 @@ class Broker {
 
  private:
   void pumpLoop();
-  void pumpOnce();
+  void pumpOnce();  // timer tick
+  // Drain the inbox, reap completions, flush parked work while Active.
+  void routeAndSettle();
   void heartbeat(double now);
   void adoptView(const MembershipView& view);
   void drainInbox();

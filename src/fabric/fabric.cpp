@@ -158,38 +158,34 @@ void HazardFabric::settleJob(int broker, const std::string& digest,
                              sched::JobPhase phase,
                              const std::string& error) {
   (void)broker;
-  FabricJobHandle job;
+  bool accepted = false;
   {
+    // The handle settles and is counted under one jobsMu_ hold, so a
+    // drain() that sees every handle settled sees every one counted.
     std::lock_guard<std::mutex> lock(jobsMu_);
     auto it = jobs_.find(digest);
     if (it == jobs_.end()) return;
-    job = it->second;
-  }
-  bool accepted = false;
-  {
-    std::lock_guard<std::mutex> lock(job->mu);
-    if (!job->settled) {
-      job->settled = true;
-      job->phase = phase;
-      job->products = std::move(products);
-      job->error = error;
-      job->completions = 1;
+    FabricJob& job = *it->second;
+    std::lock_guard<std::mutex> jobLock(job.mu);
+    if (!job.settled) {
+      job.settled = true;
+      job.phase = phase;
+      job.products = std::move(products);
+      job.error = error;
+      job.completions = 1;
       accepted = true;
+      if (phase == sched::JobPhase::Completed)
+        ++completed_;
+      else
+        ++failed_;
     }
-    job->settledCv.notify_all();
+    job.settledCv.notify_all();
   }
   if (!accepted) {
     // Two brokers raced the same digest to completion (at-least-once
     // replay doing its job); the duplicate settle is absorbed here.
     telemetry::count(telemetry::Counter::FabricDedupHits);
     return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(jobsMu_);
-    if (phase == sched::JobPhase::Completed)
-      ++completed_;
-    else
-      ++failed_;
   }
   settleCv_.notify_all();
 }

@@ -72,6 +72,8 @@ AWP_HOT FabricTransport::SendResult FabricTransport::send(
     box.ring[(box.head + box.count) % cap_] = m;
     ++box.count;
     delivered_.fetch_add(1, std::memory_order_relaxed);
+    box.rung = true;
+    box.bell.notify_one();
   }
   return SendResult::Delivered;
 }
@@ -86,6 +88,25 @@ bool FabricTransport::poll(int broker, FabricMessage& out) {
   box.head = (box.head + 1) % cap_;
   --box.count;
   return true;
+}
+
+void FabricTransport::ring(int broker) {
+  if (broker < 0 || broker >= n_) return;
+  Inbox& box = *inboxes_[static_cast<std::size_t>(broker)];
+  std::lock_guard<std::mutex> lock(box.mu);
+  box.rung = true;
+  box.bell.notify_one();
+}
+
+bool FabricTransport::waitDoorbell(
+    int broker, std::chrono::steady_clock::time_point deadline) {
+  AWP_CHECK(broker >= 0 && broker < n_);
+  Inbox& box = *inboxes_[static_cast<std::size_t>(broker)];
+  std::unique_lock<std::mutex> lock(box.mu);
+  const bool rang =
+      box.bell.wait_until(lock, deadline, [&] { return box.rung; });
+  box.rung = false;
+  return rang;
 }
 
 FabricTransport::RenewOutcome FabricTransport::renewLease(int broker,

@@ -20,6 +20,8 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,14 +53,23 @@ class FabricTransport {
 
   enum class SendResult { Delivered, Dropped };
 
-  // Data-plane send into `to`'s inbox ring. Registered hot path: fault
-  // consults, one mutex, ring stores — no allocation (the message carries
-  // a shared_ptr, copied not re-built), no throw. A full inbox reports
-  // Dropped (backpressure surfaces as loss; the sender retries).
+  // Data-plane send into `to`'s inbox ring; a delivery rings `to`'s
+  // doorbell. Registered hot path: fault consults, one mutex, ring stores
+  // and a notify — no allocation (the message carries a shared_ptr, copied
+  // not re-built), no throw. A full inbox reports Dropped (backpressure
+  // surfaces as loss; the sender retries).
   SendResult send(const FabricMessage& m, int to);
 
   // Drain one message from `broker`'s inbox (pump loop).
   bool poll(int broker, FabricMessage& out);
+
+  // Each inbox carries its broker's doorbell: send() rings it on
+  // delivery, ring() lets anything else wake that broker's pump (a local
+  // job settle, stop). waitDoorbell blocks until the bell rings or
+  // `deadline` passes, clears it, and returns true when it rang.
+  void ring(int broker);
+  bool waitDoorbell(int broker,
+                    std::chrono::steady_clock::time_point deadline);
 
   // --- control plane: lease RPCs routed through the same faulty links ---
   enum class RenewOutcome {
@@ -93,6 +104,8 @@ class FabricTransport {
 
   struct Inbox {
     std::mutex mu;
+    std::condition_variable bell;
+    bool rung AWP_GUARDED_BY(mu) = false;
     std::vector<FabricMessage> ring AWP_GUARDED_BY(mu);
     std::size_t head AWP_GUARDED_BY(mu) = 0;
     std::size_t count AWP_GUARDED_BY(mu) = 0;

@@ -48,7 +48,11 @@ Watchdog::Watchdog(const HeartbeatBoard& board, double stallTimeoutSeconds,
 Watchdog::~Watchdog() { stop(); }
 
 void Watchdog::stop() {
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  wake_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -58,8 +62,13 @@ std::vector<StallReport> Watchdog::reports() const {
 }
 
 void Watchdog::scanLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(poll_));
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (wake_.wait_for(lock, std::chrono::duration<double>(poll_),
+                         [&] { return stopping_; }))
+        return;
+    }
     const auto now = Clock::now();
 
     StallReport report;

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -80,7 +81,9 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  void stop();  // idempotent; joins the scan thread
+  // Idempotent. Wakes the scan thread out of its poll wait and joins it,
+  // so it returns at once rather than after up to one poll interval.
+  void stop();
 
   // Every episode reported so far. Consumers that act on episodes (the
   // scenario service) take each one once through onStall instead.
@@ -95,8 +98,9 @@ class Watchdog {
   int missThreshold_;
   int missedScans_ = 0;  // consecutive scans with a stalled origin
   StallFn onStall_;
-  std::atomic<bool> stop_{false};
   mutable std::mutex mutex_;
+  std::condition_variable wake_;  // stop() -> scan thread
+  bool stopping_ AWP_GUARDED_BY(mutex_) = false;
   std::vector<StallReport> reports_ AWP_GUARDED_BY(mutex_);
   bool episodeOpen_ AWP_GUARDED_BY(mutex_) = false;
   int episodeOrigin_ AWP_GUARDED_BY(mutex_) = -1;

@@ -733,6 +733,9 @@ void ScenarioService::settleTerminal(const JobHandle& job, JobPhase phase,
   };
   for (const auto& f : followers) finish(f, /*copyProducts=*/true);
   finish(job, /*copyProducts=*/false);
+  // Before the outstanding_ update: once drain() can return, the service
+  // (and whatever the hook rings) may be torn down.
+  if (config_.onSettle) config_.onSettle();
   {
     std::lock_guard<std::mutex> lock(jobsMu_);
     outstanding_ -= followers.size() + (countedPrimary ? 1 : 0);

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -79,6 +80,10 @@ struct ServiceConfig {
   // (the fabric sets it to the broker id).
   ProductPublisher* publisher = nullptr;
   int publishOriginId = 0;
+  // Called after every terminal settle, on the settling thread (often a
+  // detached worker; never under a service lock). The fabric's broker
+  // rings its pump's doorbell here. May be empty.
+  std::function<void()> onSettle;
 };
 
 class ScenarioService {

@@ -415,6 +415,90 @@ TEST(Fabric, ForwardRetriesUnderDropsAndRecordsRetrySites) {
   fabric.shutdown();
 }
 
+// ---------------------------------------------------------------------------
+// Event-driven pump: arrivals and settles ring the doorbell
+
+// With a 5 s timer tick, a pump that only woke on its timer would hold
+// every forwarded submission in the owner's inbox, and every finished job
+// in the tracked table, until the next tick. The doorbell settles each
+// job within 2.5 s of its submit, and the wakes do not advance the tick
+// count that reconcileEveryTicks (and broker_death) read.
+TEST(Fabric, DoorbellSettlesWithoutWaitingForTheTimerTick) {
+  const fs::path root = tempDir("doorbell");
+  const int brokers = 3;
+  const double tickSeconds = 5.0;
+  FabricConfig config = smallFabricConfig(root, brokers);
+  config.pumpIntervalSeconds = tickSeconds;
+  config.leaseSeconds = 1000.0;  // no lease lapses between 5 s heartbeats
+  config.serve.reconcileEveryTicks = 1;
+  config.service.coreBudget = 2;
+
+  const auto start = std::chrono::steady_clock::now();
+  HazardFabric fabric(config);
+
+  // Entry brokers go round-robin 0, 1, 2, ...: alternate specs the entry
+  // runs itself with specs its successor owns, which are forwarded.
+  const HashRing ring(brokers, config.vnodes);
+  const std::uint32_t full = (1u << brokers) - 1u;
+  std::set<std::string> digests;
+  std::vector<sched::ScenarioSpec> specs;
+  for (int i = 0; i < 6; ++i) {
+    const int entry = i % brokers;
+    const int owner = i % 2 == 0 ? entry : (entry + 1) % brokers;
+    for (std::uint64_t steps = 4;; ++steps) {
+      ASSERT_LT(steps, 400u) << "no tiny spec owned by broker " << owner;
+      sched::ScenarioSpec spec;
+      spec.dims = {12, 10, 8};
+      spec.nranks = 1;
+      spec.steps = steps;
+      spec.useCvm = false;
+      spec.spongeWidth = 2;
+      spec.checkpointEverySteps = 0;
+      spec.healthEverySteps = 2;
+      spec.name = "doorbell";
+      const std::string digest = spec.hashHex();
+      if (digests.count(digest) != 0 ||
+          ring.ownerOf(HashRing::pointFor(digest), full) != owner)
+        continue;
+      digests.insert(digest);
+      specs.push_back(spec);
+      break;
+    }
+  }
+
+  std::vector<FabricJobHandle> jobs;
+  std::vector<std::chrono::steady_clock::time_point> submitted;
+  for (const auto& spec : specs) {
+    submitted.push_back(std::chrono::steady_clock::now());
+    jobs.push_back(fabric.submit(spec));
+  }
+  // Waiting in order over-estimates a job's latency (it may have settled
+  // while an earlier one was awaited), so the bound is conservative.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs[i]->wait(), sched::JobPhase::Completed) << jobs[i]->error;
+    const double latency = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() -
+                               submitted[i])
+                               .count();
+    EXPECT_LT(latency, 0.5 * tickSeconds) << "job " << i;
+  }
+
+  const FabricReport report = fabric.report();
+  EXPECT_GE(report.counters.forwards, 1u);
+  EXPECT_EQ(report.completed, specs.size());
+  // Each broker ticks at its start and then every tickSeconds; read the
+  // count before the clock so a tick in between cannot break the bound.
+  const std::uint64_t reconciles = fabric.productServer().stats().reconciles;
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LE(reconciles,
+            static_cast<std::uint64_t>(
+                brokers * (1 + static_cast<int>(elapsed / tickSeconds))));
+  fabric.shutdown();
+  fs::remove_all(root);
+}
+
 TEST(Fabric, DuplicateDeliveryIsAbsorbedExactlyOnce) {
   const fs::path root = tempDir("duplicate");
   util::resetRetryRegistry();

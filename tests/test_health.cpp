@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/runtime_config.hpp"
 #include "core/solver.hpp"
@@ -692,6 +694,22 @@ TEST(Watchdog, ReportsTheStalledRankInsteadOfHanging) {
   EXPECT_EQ(reports[0].lastStep, 6u);
   EXPECT_GE(reports[0].stalledSeconds, 0.3);
   EXPECT_FALSE(reports[0].stalledRanks.empty());
+}
+
+TEST(Watchdog, StopDoesNotWaitOutThePoll) {
+  // stop() wakes the scan thread out of its poll wait: with a 5 s poll a
+  // sleeping scan thread would hold the join for up to 5 s.
+  health::HeartbeatBoard board(1);
+  health::Watchdog watchdog(board, /*stallTimeoutSeconds=*/30.0, nullptr,
+                            /*pollIntervalSeconds=*/5.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  watchdog.stop();
+  const double stopSeconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+  EXPECT_LT(stopSeconds, 0.5);
+  EXPECT_TRUE(watchdog.reports().empty());
 }
 
 TEST(Watchdog, HeartbeatBoardTracksBeats) {
