@@ -13,7 +13,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "sched/artifact_cache.hpp"
 #include "sched/service.hpp"
 #include "sched/spec.hpp"
 #include "serve/server.hpp"
@@ -55,9 +54,8 @@ int main() {
   // --- raw tile publish latency -------------------------------------------
   // One 16x16 tile republished across versions: fresh content every time
   // (index update + chunk store), exact duplicates (version lattice
-  // absorbs), and alternating content (chunk tier dedups).
-  sched::ArtifactCache rawCache;
-  TileStore rawStore(&rawCache, 16);
+  // absorbs), and alternating content (the chunk map dedups).
+  TileStore rawStore(16);
   TileKey key;
   key.digest = digestFromHex("00112233445566778899aabbccddeeff");
   std::vector<float> payload(256, 0.0f);
@@ -97,11 +95,10 @@ int main() {
                     ("awp_bench_serving_" + std::to_string(::getpid()));
   std::filesystem::create_directories(work);
 
-  sched::ArtifactCache tileCache;
   ServeConfig scfg;
   scfg.tileEdge = 16;
   scfg.windowSamples = 1;
-  ProductServer server(&tileCache, scfg);
+  ProductServer server(scfg);
 
   std::vector<TileDelta> seen;
   server.subscribe(Field::PgvH, Extent{0, 0, 48, 36},
@@ -130,7 +127,9 @@ int main() {
   service.shutdown();
 
   const ServerStats stats = server.stats();
-  const sched::CacheStats cache = tileCache.stats();
+  // Live chunks at the end of the run: logical = bytes the tiles
+  // reference, stored = bytes the deduplicated chunks hold.
+  const ChunkStats chunks = server.store().chunkStats();
   TextTable run({"Metric", "Value"});
   run.addRow({"ensemble wall (4 scenarios)",
               TextTable::num(ensembleSeconds, 2) + " s"});
@@ -139,10 +138,9 @@ int main() {
               std::to_string(stats.completionPublishes)});
   run.addRow({"delta batches delivered", std::to_string(stats.notifies)});
   run.addRow({"tile deltas seen", std::to_string(seen.size())});
-  run.addRow({"chunk dedup hits", std::to_string(cache.dedupHits)});
-  run.addRow({"logical MB",
-              TextTable::num(cache.logicalBytes / 1e6, 2)});
-  run.addRow({"stored MB", TextTable::num(cache.storedBytes / 1e6, 2)});
+  run.addRow({"chunk dedup hits", std::to_string(chunks.dedupHits)});
+  run.addRow({"logical MB", TextTable::num(chunks.tileBytes / 1e6, 2)});
+  run.addRow({"stored MB", TextTable::num(chunks.chunkBytes / 1e6, 2)});
   run.print(std::cout);
   std::cout << "\n";
 
@@ -188,9 +186,9 @@ int main() {
           .field("window_publishes", stats.windowPublishes)
           .field("completion_publishes", stats.completionPublishes)
           .field("delta_batches", stats.notifies)
-          .field("chunk_dedup_hits", cache.dedupHits)
-          .field("cache_logical_bytes", cache.logicalBytes)
-          .field("cache_stored_bytes", cache.storedBytes)
+          .field("chunk_dedup_hits", chunks.dedupHits)
+          .field("cache_logical_bytes", chunks.tileBytes)
+          .field("cache_stored_bytes", chunks.chunkBytes)
           .field("exceedance_queries_per_second", qps)
           .field("tiles_scanned_per_second", tilesPerSecond)
           .endObject()

@@ -305,22 +305,9 @@ Broker::Accept Broker::submitClient(
       return Accept::Dead;
     case BrokerState::Degraded:
       // Degraded mode still serves completed work from the shared cache
-      // tier; everything else is parked for re-forward after rejoin.
-      if (auto products = service_->cachedProducts(digest)) {
-        telemetry::count(telemetry::Counter::ScenarioCacheHits);
-        if (config_.service.publisher != nullptr &&
-            spec->kind == sched::ScenarioKind::Wave) {
-          // Degraded read-only serving still converges the serving tier:
-          // the canonical products republish (duplicates are absorbed).
-          sched::SurfaceRunInfo info;
-          info.specHash = digest;
-          info.spec = *spec;
-          info.surfacePath =
-              (fs::path(service_->jobDirFor(digest)) / "surface.bin")
-                  .string();
-          config_.service.publisher->onScenarioComplete(
-              info, config_.service.publishOriginId, *products);
-        }
+      // tier; everything else is parked for re-forward after rejoin. A hit
+      // is republished, so read-only serving still feeds the catalog.
+      if (auto products = service_->cachedProducts(digest, *spec)) {
         settle_(config_.id, digest, sched::JobPhase::Completed,
                 std::move(*products), "");
         return Accept::Owned;

@@ -33,12 +33,10 @@ HazardFabric::HazardFabric(FabricConfig config) : config_(std::move(config)) {
     config_.rootDir = (fs::temp_directory_path() / "awp-fabric").string();
   fs::create_directories(fs::path(config_.rootDir) / "cache");
 
-  // One ProductServer over a memory-only cache: tile chunks dedupe against
-  // each other in memory. The tile index was never persistent, so a chunk
-  // file could not be found again; tiles are rebuilt from pgvh.bin.
-  serveCache_ = std::make_unique<sched::ArtifactCache>();
-  server_ =
-      std::make_unique<serve::ProductServer>(serveCache_.get(), config_.serve);
+  // One ProductServer whose tile chunks dedupe against each other in
+  // memory. The tile index was never persistent, so a chunk file could not
+  // be found again; tiles are rebuilt from pgvh.bin.
+  server_ = std::make_unique<serve::ProductServer>(config_.serve);
 
   board_ = std::make_unique<LeaseBoard>(config_.brokers,
                                         config_.leaseSeconds);
@@ -85,7 +83,6 @@ HazardFabric::HazardFabric(FabricConfig config) : config_(std::move(config)) {
     bc.forwardAttempts = config_.forwardAttempts;
     bc.peerWorkDirs = workDirs;
     bc.service = config_.service;
-    bc.service.cacheProducts = true;
     bc.service.cacheDir =
         (fs::path(config_.rootDir) / "cache").string();
     bc.service.workDir = workDirs[static_cast<std::size_t>(i)];

@@ -53,11 +53,11 @@ struct FabricConfig {
   // until the fabric is destroyed.
   bool telemetry = false;
   // Per-broker service template. workDir/cacheDir/telemetry fields are
-  // overridden per broker; cacheProducts is forced on (replay and
-  // degraded-mode serving both need the shared product tier).
+  // overridden per broker (replay and degraded-mode serving both read the
+  // shared product tier).
   sched::ServiceConfig service;
-  // Serving-tier config. The fabric owns one ProductServer over a
-  // memory-only chunk cache; every broker publishes into it.
+  // Serving-tier config. The fabric owns one ProductServer, which keeps
+  // its tile chunks in memory; every broker publishes into it.
   serve::ServeConfig serve;
 };
 
@@ -171,11 +171,10 @@ class HazardFabric {
   std::unique_ptr<HashRing> ring_;
   std::unique_ptr<FabricTransport> transport_;
   std::unique_ptr<SubmissionLog> log_;
-  // Serving tier: tile chunks live in a memory-only cache; the brokers'
-  // on-disk cache dir holds only products and meshes. Declared before
-  // brokers_ — broker services publish into the server, so it must be
-  // destroyed after them.
-  std::unique_ptr<sched::ArtifactCache> serveCache_;
+  // Serving tier: tile chunks live in the server's TileStore; the
+  // brokers' on-disk cache dir holds only products and meshes. Declared
+  // before brokers_ — broker services publish into the server, so it must
+  // be destroyed after them.
   std::unique_ptr<serve::ProductServer> server_;
   std::vector<std::unique_ptr<Broker>> brokers_;
 

@@ -104,35 +104,17 @@ std::optional<std::vector<std::byte>> ArtifactCache::get(
   return fromDisk;
 }
 
-void ArtifactCache::accountPutLocked(const std::string& key,
-                                     std::uint64_t bytes, bool stored) {
+void ArtifactCache::accountPutLocked(std::uint64_t bytes) {
   ++stats_.puts;
   stats_.logicalBytes += bytes;
-  auto& entry = accounting_[key];
-  entry.logicalBytes += bytes;
-  if (stored) {
-    stats_.storedBytes += bytes;
-    entry.storedBytes += bytes;
-  } else {
-    ++stats_.dedupHits;
-    ++entry.dedupPuts;
-  }
+  stats_.storedBytes += bytes;
 }
 
 void ArtifactCache::put(const std::string& key, std::vector<std::byte> value) {
   storeDisk(key, value);
   std::lock_guard<std::mutex> lock(mutex_);
-  accountPutLocked(key, value.size(), /*stored=*/true);
+  accountPutLocked(value.size());
   memory_[key] = std::move(value);
-}
-
-bool ArtifactCache::putDedup(const std::string& key,
-                             std::vector<std::byte> value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const bool stored = memory_.count(key) == 0;
-  accountPutLocked(key, value.size(), stored);
-  if (stored) memory_.emplace(key, std::move(value));
-  return stored;
 }
 
 std::vector<std::byte> ArtifactCache::getOrCompute(
@@ -209,7 +191,7 @@ std::vector<std::byte> ArtifactCache::getOrCompute(
       value = compute();
       storeDisk(key, value);
       std::lock_guard<std::mutex> lock(mutex_);
-      accountPutLocked(key, value.size(), /*stored=*/true);
+      accountPutLocked(value.size());
       memory_[key] = value;
     }
     finish(/*failed=*/false);
@@ -220,29 +202,11 @@ std::vector<std::byte> ArtifactCache::getOrCompute(
   }
 }
 
-bool ArtifactCache::contains(const std::string& key) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (memory_.count(key) > 0) return true;
-  }
-  auto fromDisk = loadDisk(key);
-  if (!fromDisk.has_value()) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  memory_[key] = std::move(*fromDisk);
-  return true;
-}
-
 CacheStats ArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   CacheStats s = stats_;
   s.entries = memory_.size();
   return s;
-}
-
-std::map<std::string, EntryAccounting> ArtifactCache::entryAccounting()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return accounting_;
 }
 
 }  // namespace awp::sched

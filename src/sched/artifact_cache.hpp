@@ -41,22 +41,14 @@ struct CacheStats {
   std::uint64_t memoryMisses = 0;
   std::uint64_t diskHits = 0;
   std::uint64_t diskMisses = 0;
-  // Chunk-level dedup accounting across put()/putDedup(): logicalBytes is
-  // what callers presented for storage; storedBytes is what the cache
-  // actually kept. The gap is the dedup win (overlapping surface tiles
-  // across scenarios share one stored chunk).
+  // Put accounting: logicalBytes is what callers presented for storage;
+  // storedBytes is what the cache kept. Every put stores, so the two are
+  // equal and dedupHits stays 0; the service report keeps all three keys.
   std::uint64_t puts = 0;
-  std::uint64_t dedupHits = 0;  // putDedup calls absorbed by existing data
+  std::uint64_t dedupHits = 0;
   std::uint64_t logicalBytes = 0;
   std::uint64_t storedBytes = 0;
   std::uint64_t entries = 0;    // live memory-tier entries at stats() time
-};
-
-// Per-entry logical-vs-stored accounting (dedup measurement).
-struct EntryAccounting {
-  std::uint64_t logicalBytes = 0;  // bytes presented across all puts
-  std::uint64_t storedBytes = 0;   // bytes actually stored for the entry
-  std::uint64_t dedupPuts = 0;     // puts absorbed by an existing copy
 };
 
 class ArtifactCache {
@@ -72,13 +64,6 @@ class ArtifactCache {
   // Insert/overwrite. Persists to the disk tier when one is configured.
   void put(const std::string& key, std::vector<std::byte> value);
 
-  // Content-addressed insert into the memory tier only: skip the store
-  // when the key is already present (the caller's key embeds the payload
-  // digest, so presence implies identity). Returns true when the value was
-  // actually stored, false when absorbed as a dedup hit. This is the
-  // chunk-level path the serving tier uses for surface tiles.
-  bool putDedup(const std::string& key, std::vector<std::byte> value);
-
   // Single-flight memoization: if the key is cached, return it; otherwise
   // run `compute` (exactly once across concurrent callers — the others
   // block until the winner finishes) and cache its result. A compute that
@@ -87,9 +72,7 @@ class ArtifactCache {
       const std::string& key,
       const std::function<std::vector<std::byte>()>& compute);
 
-  [[nodiscard]] bool contains(const std::string& key);
   [[nodiscard]] CacheStats stats() const;
-  [[nodiscard]] std::map<std::string, EntryAccounting> entryAccounting() const;
   [[nodiscard]] const std::string& directory() const { return directory_; }
 
  private:
@@ -103,9 +86,8 @@ class ArtifactCache {
   std::optional<std::vector<std::byte>> loadDisk(const std::string& key);
   void storeDisk(const std::string& key,
                  const std::vector<std::byte>& value) const;
-  // Fold one put into the aggregate + per-entry accounting.
-  void accountPutLocked(const std::string& key, std::uint64_t bytes,
-                        bool stored) AWP_REQUIRES(mutex_);
+  // Fold one stored put into the accounting.
+  void accountPutLocked(std::uint64_t bytes) AWP_REQUIRES(mutex_);
 
   std::string directory_;
   mutable std::mutex mutex_;
@@ -113,7 +95,6 @@ class ArtifactCache {
       AWP_GUARDED_BY(mutex_);
   std::map<std::string, std::shared_ptr<Pending>> pending_
       AWP_GUARDED_BY(mutex_);
-  std::map<std::string, EntryAccounting> accounting_ AWP_GUARDED_BY(mutex_);
   CacheStats stats_ AWP_GUARDED_BY(mutex_);
 };
 

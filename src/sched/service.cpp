@@ -191,36 +191,15 @@ JobHandle ScenarioService::submit(ScenarioSpec spec) {
   // is published into allJobs_ only after cacheHit/coalesced are final,
   // so report() never observes a half-initialized row (jobsMu_ release /
   // acquire orders every plain write made here before the publication).
-  if (config_.cacheProducts) {
-    if (auto bytes = cache_.get(productKey(job->hash))) {
-      try {
-        ScenarioProducts products = ScenarioProducts::deserialize(*bytes);
-        job->cacheHit = true;
-        telemetry::count(telemetry::Counter::ScenarioCacheHits);
-        if (config_.publisher != nullptr &&
-            job->spec.kind == ScenarioKind::Wave) {
-          // A memoized hit still converges the serving tier: the canonical
-          // products are republished (the tile store absorbs duplicates).
-          SurfaceRunInfo info;
-          info.specHash = job->hash;
-          info.spec = job->spec;
-          info.surfacePath =
-              (fs::path(jobDirFor(job->hash)) / "surface.bin").string();
-          config_.publisher->onScenarioComplete(
-              info, config_.publishOriginId, products);
-        }
-        {
-          std::lock_guard<std::mutex> lock(jobsMu_);
-          allJobs_.push_back(job);
-        }
-        settleTerminal(job, JobPhase::Completed, "", std::move(products),
-                       /*countedPrimary=*/false);
-        return job;
-      } catch (const Error&) {
-        // A digest-valid entry that fails structural deserialization is a
-        // version skew, not corruption: treat as a miss and recompute.
-      }
+  if (auto products = cachedProducts(job->hash, job->spec)) {
+    job->cacheHit = true;
+    {
+      std::lock_guard<std::mutex> lock(jobsMu_);
+      allJobs_.push_back(job);
     }
+    settleTerminal(job, JobPhase::Completed, "", std::move(*products),
+                   /*countedPrimary=*/false);
+    return job;
   }
 
   // Coalesce onto an identical in-flight spec, or register as primary.
@@ -347,18 +326,8 @@ void ScenarioService::workerMain(Dispatch d) {
   executedAttempts_.fetch_add(1, std::memory_order_relaxed);
   try {
     ScenarioProducts products = attempt(*d.job, d.coreBase);
-    if (config_.cacheProducts)
-      cache_.put(productKey(d.job->hash), products.serialize());
-    if (config_.publisher != nullptr &&
-        d.job->spec.kind == ScenarioKind::Wave) {
-      SurfaceRunInfo info;
-      info.specHash = d.job->hash;
-      info.spec = d.job->spec;
-      info.surfacePath =
-          (fs::path(jobDirFor(d.job->hash)) / "surface.bin").string();
-      config_.publisher->onScenarioComplete(info, config_.publishOriginId,
-                                            products);
-    }
+    cache_.put(productKey(d.job->hash), products.serialize());
+    publishCompleted(d.job->hash, d.job->spec, products);
     settleTerminal(d.job, JobPhase::Completed, "", std::move(products),
                    /*countedPrimary=*/true);
   } catch (const CancelledError& e) {
@@ -557,10 +526,7 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
             // Serving-tier hook: every durable-prefix advance of this
             // rank's writer is reported (on the rank thread) so partial
             // hazard products can be folded mid-run.
-            SurfaceRunInfo info;
-            info.specHash = job.hash;
-            info.spec = spec;
-            info.surfacePath = surfacePath;
+            SurfaceRunInfo info{job.hash, spec, surfacePath};
             ProductPublisher* pub = config_.publisher;
             const int origin = config_.publishOriginId;
             const int rank = comm.rank();
@@ -808,16 +774,34 @@ void ScenarioService::shutdown() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
+void ScenarioService::publishCompleted(
+    const std::string& hash, const ScenarioSpec& spec,
+    const ScenarioProducts& products) const {
+  if (config_.publisher == nullptr || spec.kind != ScenarioKind::Wave)
+    return;
+  const SurfaceRunInfo info{
+      hash, spec, (fs::path(jobDirFor(hash)) / "surface.bin").string()};
+  config_.publisher->onScenarioComplete(info, config_.publishOriginId,
+                                        products);
+}
+
 std::optional<ScenarioProducts> ScenarioService::cachedProducts(
-    const std::string& hash) {
-  if (!config_.cacheProducts) return std::nullopt;
+    const std::string& hash, const ScenarioSpec& spec) {
   auto bytes = cache_.get(productKey(hash));
   if (!bytes) return std::nullopt;
+  std::optional<ScenarioProducts> products;
   try {
-    return ScenarioProducts::deserialize(*bytes);
+    products = ScenarioProducts::deserialize(*bytes);
   } catch (const Error&) {
-    return std::nullopt;  // version skew: a miss, not an error
+    // A digest-valid entry that fails structural deserialization is a
+    // version skew, not corruption: a miss, and the caller recomputes.
+    return std::nullopt;
   }
+  telemetry::count(telemetry::Counter::ScenarioCacheHits);
+  // A memoized hit still converges the serving tier: the canonical
+  // products are republished (the tile store absorbs duplicates).
+  publishCompleted(hash, spec, *products);
+  return products;
 }
 
 ServiceReport ScenarioService::report() const {

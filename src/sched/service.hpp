@@ -58,7 +58,6 @@ struct ServiceConfig {
   int respawnBudget = 1;
   // Watchdog debounce: consecutive stalled scans before an episode opens.
   int watchdogMissThreshold = 1;
-  bool cacheProducts = true;        // memoize completed scenario products
   std::string cacheDir;             // "" = in-memory artifact cache only
   std::string workDir;              // "" = <tmp>/awp-sched
   // Spans and counters go to whichever telemetry session is installed.
@@ -118,10 +117,11 @@ class ScenarioService {
 
   [[nodiscard]] ServiceReport report() const;
   // Completed products for a spec hash, served straight from the artifact
-  // cache without submitting anything — how a degraded (partitioned)
-  // fabric broker keeps serving hits while parking everything else.
+  // cache without submitting anything and republished to the serving tier
+  // — how a degraded (partitioned) fabric broker keeps serving hits while
+  // parking everything else. Counts a scenario cache hit.
   [[nodiscard]] std::optional<ScenarioProducts> cachedProducts(
-      const std::string& hash);
+      const std::string& hash, const ScenarioSpec& spec);
   [[nodiscard]] CacheStats cacheStats() const { return cache_.stats(); }
   [[nodiscard]] AdmissionQueue::Stats queueStats() const {
     return queue_.stats();
@@ -158,6 +158,11 @@ class ScenarioService {
                       const std::string& error, ScenarioProducts products,
                       bool countedPrimary);
   void recordStall(const health::StallReport& report);
+  // The one completion publish: a wave job's products (fresh or memoized)
+  // go to the serving tier with the job's surface file. No-op without a
+  // publisher or for rupture kinds.
+  void publishCompleted(const std::string& hash, const ScenarioSpec& spec,
+                        const ScenarioProducts& products) const;
 
   ServiceConfig config_;
   ArtifactCache cache_;

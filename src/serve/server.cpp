@@ -55,8 +55,8 @@ bool tileTouches(int tx, int ty, int edge, const Extent& extent) {
 
 }  // namespace
 
-ProductServer::ProductServer(sched::ArtifactCache* cache, ServeConfig config)
-    : config_(config), store_(cache, config.tileEdge) {
+ProductServer::ProductServer(ServeConfig config)
+    : config_(config), store_(config.tileEdge) {
   AWP_CHECK_MSG(config_.windowSamples >= 1,
                 "serve: window must be >= 1 sample");
 }
@@ -314,11 +314,7 @@ ExceedanceResult ProductServer::exceedance(const ExceedanceQuery& query) {
       key.tx = static_cast<std::uint16_t>(tx);
       key.ty = static_cast<std::uint16_t>(ty);
       TileRecord rec;
-      if (!store_.lookup(key, &rec)) {
-        anyMissing = true;
-        return;
-      }
-      const auto payload = store_.load(key);
+      const ChunkRef payload = store_.load(key, &rec);
       if (!payload.has_value()) {
         anyMissing = true;
         return;

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "sched/artifact_cache.hpp"
 #include "sched/publish.hpp"
 #include "serve/layout.hpp"
 #include "serve/store.hpp"
@@ -120,10 +119,9 @@ struct ServerStats {
 
 class ProductServer final : public sched::ProductPublisher {
  public:
-  // `cache` is the chunk storage tier (a fabric passes one memory-only
-  // cache so overlapping extents dedupe across brokers); must outlive the
-  // server.
-  ProductServer(sched::ArtifactCache* cache, ServeConfig config);
+  // Tile chunks live in the server's TileStore, so overlapping extents
+  // dedupe across every service that publishes into it.
+  explicit ProductServer(ServeConfig config);
 
   // --- sched::ProductPublisher (called by scenario services) -----------
   void onWindowFlush(const sched::SurfaceRunInfo& info, int origin,

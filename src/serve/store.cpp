@@ -1,45 +1,50 @@
 #include "serve/store.hpp"
 
-#include <cstring>
-
 #include "telemetry/registry.hpp"
 #include "util/error.hpp"
 #include "util/md5.hpp"
 
 namespace awp::serve {
 
-TileStore::TileStore(sched::ArtifactCache* cache, int tileEdge)
-    : cache_(cache), tileEdge_(tileEdge) {
-  AWP_CHECK(cache_ != nullptr);
+TileStore::TileStore(int tileEdge) : tileEdge_(tileEdge) {
   AWP_CHECK_MSG(tileEdge_ >= 1, "serve: tile edge must be >= 1");
 }
 
 PublishOutcome TileStore::publish(const TileKey& key, std::uint64_t version,
                                   const float* payload, std::size_t count) {
   PublishOutcome out;
-  std::vector<std::byte> bytes(count * sizeof(float));
-  std::memcpy(bytes.data(), payload, bytes.size());
-  const auto md5 = Md5::hash(bytes.data(), bytes.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
-    if (it != index_.end() && version <= it->second.version)
+    const bool superseding = it != index_.end();
+    if (superseding && version <= it->second.rec.version)
       return out;  // duplicate or stale publish: absorbed, never regress
-  }
-  // Store the chunk before exposing the version: a concurrent reader that
-  // sees the new record must be able to load its payload.
-  const bool stored = cache_->putDedup(chunkCacheKey(md5), std::move(bytes));
-  out.chunkStored = stored;
-  if (!stored) telemetry::count(telemetry::Counter::ServeChunkDedups);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& rec = index_[key];
-    if (version <= rec.version) return out;  // racer advanced it first
-    rec.version = version;
-    rec.chunkMd5 = md5;
-    rec.payloadFloats = static_cast<std::uint32_t>(count);
+    const Md5Digest md5 = Md5::hash(payload, count * sizeof(float));
+    auto slot = chunks_.find(md5);
+    const bool fresh = slot == chunks_.end();
+    if (fresh)
+      slot = chunks_
+                 .emplace(md5, Chunk{std::make_shared<const std::vector<float>>(
+                                   payload, payload + count)})
+                 .first;
+    if (!superseding) it = index_.try_emplace(key).first;
+    ++slot->second.tiles;
+    if (superseding) {
+      // Drop the superseded chunk's reference (after taking the new one,
+      // so unchanged content keeps its chunk); readers holding it keep it.
+      auto old = chunks_.find(it->second.rec.chunkMd5);
+      if (--old->second.tiles == 0) chunks_.erase(old);
+    }
+    it->second.rec.version = version;
+    it->second.rec.chunkMd5 = md5;
+    it->second.rec.payloadFloats = static_cast<std::uint32_t>(count);
+    it->second.chunk = slot->second.data;
+    ++publishes_;
+    if (!fresh) ++dedupHits_;
+    out.chunkStored = fresh;
   }
   out.advanced = true;
+  if (!out.chunkStored) telemetry::count(telemetry::Counter::ServeChunkDedups);
   telemetry::count(telemetry::Counter::ServeTilesPublished);
   telemetry::count(telemetry::Counter::ServeTileBytes,
                    count * sizeof(float));
@@ -50,31 +55,40 @@ AWP_HOT bool TileStore::lookup(const TileKey& key, TileRecord* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) return false;
-  *out = it->second;
+  *out = it->second.rec;
   return true;
 }
 
 AWP_HOT std::uint64_t TileStore::latestVersion(const TileKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
-  return it == index_.end() ? 0 : it->second.version;
+  return it == index_.end() ? 0 : it->second.rec.version;
 }
 
-std::optional<std::vector<float>> TileStore::load(const TileKey& key) const {
-  TileRecord rec;
-  if (!lookup(key, &rec)) return std::nullopt;
-  auto bytes = cache_->get(chunkCacheKey(rec.chunkMd5));
-  if (!bytes.has_value() ||
-      bytes->size() != rec.payloadFloats * sizeof(float))
-    return std::nullopt;  // torn cache entry reads as absent, never wrong
-  std::vector<float> floats(rec.payloadFloats);
-  std::memcpy(floats.data(), bytes->data(), bytes->size());
-  return floats;
+AWP_HOT ChunkRef TileStore::load(const TileKey& key, TileRecord* rec) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) return ChunkRef();
+  if (rec != nullptr) *rec = it->second.rec;
+  return ChunkRef(it->second.chunk);
 }
 
 std::size_t TileStore::tileCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return index_.size();
+}
+
+ChunkStats TileStore::chunkStats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  ChunkStats s;
+  s.publishes = publishes_;
+  s.dedupHits = dedupHits_;
+  s.chunks = chunks_.size();
+  for (const auto& [md5, chunk] : chunks_)
+    s.chunkBytes += chunk.data->size() * sizeof(float);
+  for (const auto& [key, tile] : index_)
+    s.tileBytes += tile.rec.payloadFloats * sizeof(float);
+  return s;
 }
 
 }  // namespace awp::serve

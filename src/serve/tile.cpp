@@ -70,10 +70,6 @@ std::string digestToHex(const std::array<std::uint8_t, 16>& digest) {
   return out;
 }
 
-std::string chunkCacheKey(const std::array<std::uint8_t, 16>& payloadMd5) {
-  return "tile-chunk:" + digestToHex(payloadMd5);
-}
-
 std::string tileVersionKey(const TileKey& key, std::uint64_t version) {
   return "tile:" + digestToHex(key.digest) + ":" +
          toString(static_cast<Field>(key.field)) + ":" +

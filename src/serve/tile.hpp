@@ -3,9 +3,9 @@
 // (PGV-H map today; spectral-acceleration bands later) is split into
 // fixed-size square tiles; each published tile version is identified by
 // (physics digest, field, tile coordinates, window version) and its
-// payload is stored content-addressed in the artifact cache, so
-// overlapping extents across scenarios — and unchanged tiles across
-// window versions — share one stored chunk.
+// payload is stored content-addressed in the TileStore, so overlapping
+// extents across scenarios — and unchanged tiles across window versions —
+// share one stored chunk.
 //
 // TileKey is a fixed-size, trivially-comparable struct (raw 16-byte
 // digest, not hex) so index probes on the query hot path are alloc-free.
@@ -20,7 +20,7 @@
 namespace awp::serve {
 
 // Surface product fields. Closed enum: the field id is part of every tile
-// key and of the serialized chunk key, so values are append-only.
+// key and of its version key string, so values are append-only.
 enum class Field : std::uint16_t {
   PgvH = 0,  // horizontal peak ground velocity (max over samples)
 };
@@ -68,11 +68,6 @@ Extent tileExtent(const TileKey& key, int tileEdge, std::size_t nx,
 // Hex digest (32 chars) <-> raw bytes. Throws awp::Error on malformed hex.
 std::array<std::uint8_t, 16> digestFromHex(const std::string& hex);
 std::string digestToHex(const std::array<std::uint8_t, 16>& digest);
-
-// Cache key of a content-addressed tile chunk: "tile-chunk:<payload md5>".
-// Deliberately independent of scenario/field/version — identical payloads
-// anywhere in the catalog share one stored chunk.
-std::string chunkCacheKey(const std::array<std::uint8_t, 16>& payloadMd5);
 
 // Canonical versioned tile identity string:
 // "tile:<digest>:<field>:<tx>x<ty>:v<version>". Deterministic across

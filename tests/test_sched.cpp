@@ -936,7 +936,6 @@ TEST(ScenarioService, WaveProductBytesArePinnedAtTwoDecompositions) {
     ServiceConfig cfg;
     cfg.coreBudget = 4;
     cfg.workDir = work.string();
-    cfg.cacheProducts = false;
     ScenarioService service(cfg);
     ScenarioSpec spec = smallWaveSpec();
     spec.dims = {25, 19, 12};

@@ -23,7 +23,6 @@
 
 #include "fabric/fabric.hpp"
 #include "fault/injector.hpp"
-#include "sched/artifact_cache.hpp"
 #include "sched/report.hpp"
 #include "sched/service.hpp"
 #include "sched/spec.hpp"
@@ -180,17 +179,13 @@ TEST(TileKeys, DeterministicNamingOrderingAndClamping) {
   EXPECT_EQ(ext.x1, 24u);  // clamped from 32
   EXPECT_EQ(ext.y0, 32u);
   EXPECT_EQ(ext.y1, 36u);  // clamped from 48
-
-  const std::array<std::uint8_t, 16> md5{};
-  EXPECT_EQ(chunkCacheKey(md5).rfind("tile-chunk:", 0), 0u);
 }
 
 // ---------------------------------------------------------------------------
 // TileStore: version lattice + content-addressed chunk dedup
 
 TEST(TileStore, VersionLatticeAbsorbsDuplicatesAndDedupsChunks) {
-  sched::ArtifactCache cache;  // in-memory
-  TileStore store(&cache, /*tileEdge=*/4);
+  TileStore store(/*tileEdge=*/4);
 
   const std::vector<float> a(16, 1.5f);
   const std::vector<float> b(16, 2.5f);
@@ -218,31 +213,72 @@ TEST(TileStore, VersionLatticeAbsorbsDuplicatesAndDedupsChunks) {
   EXPECT_EQ(0, std::memcmp(loaded->data(), b.data(), 16 * sizeof(float)));
 
   // An identical payload under a DIFFERENT tile key shares the stored
-  // chunk: the cache reports a dedup and charges no new stored bytes.
+  // chunk: the store reports a dedup and charges no new chunk bytes.
   TileKey overlap = key;
   overlap.tx = 7;
   out = store.publish(overlap, 5, b.data(), b.size());
   EXPECT_TRUE(out.advanced);
   EXPECT_FALSE(out.chunkStored);  // content-addressed: already present
 
-  const sched::CacheStats stats = cache.stats();
+  const ChunkStats stats = store.chunkStats();
   EXPECT_GE(stats.dedupHits, 1u);
-  EXPECT_LT(stats.storedBytes, stats.logicalBytes);
+  EXPECT_LT(stats.chunkBytes, stats.tileBytes);
   EXPECT_EQ(store.tileCount(), 2u);
+}
 
-  // Per-entry accounting: the shared chunk's entry carries the dedup.
-  const auto accounting = cache.entryAccounting();
-  std::uint64_t logical = 0;
-  std::uint64_t stored = 0;
-  std::uint64_t dedupPuts = 0;
-  for (const auto& [entryKey, acct] : accounting) {
-    EXPECT_LE(acct.storedBytes, acct.logicalBytes) << entryKey;
-    logical += acct.logicalBytes;
-    stored += acct.storedBytes;
-    dedupPuts += acct.dedupPuts;
+// Chunks are bounded by the live tiles: a superseded version's chunk is
+// released once no tile references it, while a reader's loaded payload
+// stays readable.
+TEST(TileStore, SupersededChunksAreReleased) {
+  TileStore store(/*tileEdge=*/4);
+  TileKey key;
+  key.digest = digestFromHex("00112233445566778899aabbccddeeff");
+  TileKey other = key;
+  other.tx = 1;
+
+  // One tile at N versions, each with distinct content: only the current
+  // version's chunk stays live.
+  constexpr int kVersions = 8;
+  std::vector<float> current(16, 0.0f);
+  for (int v = 1; v <= kVersions; ++v) {
+    current[0] = static_cast<float>(v);
+    ASSERT_TRUE(store.publish(key, v, current.data(), current.size()).advanced);
+    EXPECT_EQ(store.chunkStats().chunks, 1u) << "after version " << v;
   }
-  EXPECT_LT(stored, logical);
-  EXPECT_GE(dedupPuts, 1u);
+  EXPECT_EQ(store.chunkStats().chunkBytes, current.size() * sizeof(float));
+
+  // A second key with the same content shares the one chunk.
+  ASSERT_TRUE(store.publish(other, 1, current.data(), current.size()).advanced);
+  EXPECT_EQ(store.chunkStats().chunks, 1u);
+
+  // A reader loads the shared payload before either tile moves on.
+  const ChunkRef held = store.load(key);
+  ASSERT_TRUE(held.has_value());
+
+  // `key` moves on; `other` still references the old chunk, so it lives.
+  const std::vector<float> next(16, -1.0f);
+  ASSERT_TRUE(
+      store.publish(key, kVersions + 1, next.data(), next.size()).advanced);
+  EXPECT_EQ(store.chunkStats().chunks, 2u);
+  const ChunkRef stillShared = store.load(other);
+  ASSERT_TRUE(stillShared.has_value());
+  EXPECT_EQ(0, std::memcmp(stillShared->data(), current.data(),
+                           current.size() * sizeof(float)));
+
+  // `other` moves on too: no tile references the old chunk any more, so
+  // it leaves the store — but the reader's payload is still intact.
+  ASSERT_TRUE(store.publish(other, 2, next.data(), next.size()).advanced);
+  const ChunkStats stats = store.chunkStats();
+  EXPECT_EQ(stats.chunks, 1u);
+  EXPECT_EQ(stats.chunkBytes, next.size() * sizeof(float));
+  EXPECT_EQ(stats.tileBytes, 2 * next.size() * sizeof(float));
+  ASSERT_EQ(held->size(), current.size());
+  EXPECT_EQ(0, std::memcmp(held->data(), current.data(),
+                           current.size() * sizeof(float)));
+  const ChunkRef loaded = store.load(other);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(0, std::memcmp(loaded->data(), next.data(),
+                           next.size() * sizeof(float)));
 }
 
 // ---------------------------------------------------------------------------
@@ -250,11 +286,10 @@ TEST(TileStore, VersionLatticeAbsorbsDuplicatesAndDedupsChunks) {
 
 TEST(Serving, IncrementalFoldMatchesPostHocBitIdentically) {
   const fs::path work = tempDir("incremental");
-  sched::ArtifactCache tileCache;
   ServeConfig scfg;
   scfg.tileEdge = 8;
   scfg.windowSamples = 1;  // publish every new durable sample window
-  ProductServer server(&tileCache, scfg);
+  ProductServer server(scfg);
 
   const sched::ScenarioSpec spec = smallWaveSpec();
   const std::size_t nx = spec.dims.nx;
@@ -323,7 +358,7 @@ TEST(Serving, IncrementalFoldMatchesPostHocBitIdentically) {
 
   // Completion re-publishes content already stored by the last window:
   // the content-addressed chunk tier absorbed those as dedups.
-  EXPECT_GE(tileCache.stats().dedupHits, 1u);
+  EXPECT_GE(server.store().chunkStats().dedupHits, 1u);
   server.unsubscribe(sub);
 }
 
@@ -332,10 +367,9 @@ TEST(Serving, IncrementalFoldMatchesPostHocBitIdentically) {
 
 TEST(Serving, ExceedanceMatchesBruteForceWithStaleness) {
   const fs::path work = tempDir("exceedance");
-  sched::ArtifactCache tileCache;
   ServeConfig scfg;
   scfg.tileEdge = 8;
-  ProductServer server(&tileCache, scfg);
+  ProductServer server(scfg);
 
   const sched::ScenarioSpec specA = smallWaveSpec(24);
   const sched::ScenarioSpec specB = smallWaveSpec(26);
@@ -394,11 +428,10 @@ TEST(Serving, ExceedanceMatchesBruteForceWithStaleness) {
 
 TEST(Serving, PublishDropsConvergeWithoutReconcile) {
   const fs::path work = tempDir("drop-converge");
-  sched::ArtifactCache tileCache;
   ServeConfig scfg;
   scfg.tileEdge = 8;
   scfg.windowSamples = 1;
-  ProductServer server(&tileCache, scfg);
+  ProductServer server(scfg);
 
   const sched::ScenarioSpec spec = smallWaveSpec();
   DeltaRecorder rec;
@@ -444,11 +477,10 @@ TEST(Serving, PublishDropsConvergeWithoutReconcile) {
 
 TEST(Serving, NotifyDelayStallsDeliveryButConverges) {
   const fs::path work = tempDir("notify-delay");
-  sched::ArtifactCache tileCache;
   ServeConfig scfg;
   scfg.tileEdge = 8;
   scfg.windowSamples = 1;
-  ProductServer server(&tileCache, scfg);
+  ProductServer server(scfg);
 
   const sched::ScenarioSpec spec = smallWaveSpec();
   DeltaRecorder rec;
@@ -479,11 +511,10 @@ TEST(Serving, NotifyDelayStallsDeliveryButConverges) {
 
 TEST(Serving, ReconcileConvergesAfterTotalPublishLoss) {
   const fs::path work = tempDir("drop-reconcile");
-  sched::ArtifactCache tileCache;
   ServeConfig scfg;
   scfg.tileEdge = 8;
   scfg.windowSamples = 1;
-  ProductServer server(&tileCache, scfg);
+  ProductServer server(scfg);
 
   const sched::ScenarioSpec spec = smallWaveSpec();
   DeltaRecorder rec;
@@ -533,11 +564,10 @@ TEST(Serving, ReconcileConvergesAfterTotalPublishLoss) {
 
 TEST(Serving, CrashRetryKeepsDeltasOrderedAndConverges) {
   const fs::path work = tempDir("crash-retry");
-  sched::ArtifactCache tileCache;
   ServeConfig scfg;
   scfg.tileEdge = 8;
   scfg.windowSamples = 1;
-  ProductServer server(&tileCache, scfg);
+  ProductServer server(scfg);
 
   const sched::ScenarioSpec spec = smallWaveSpec();
   DeltaRecorder rec;
@@ -732,12 +762,11 @@ TEST(HazardFabric, WaveTilesStayInMemory) {
   EXPECT_EQ(0, std::memcmp(assembled.data(), expected.data(),
                            expected.size() * sizeof(float)));
 
-  // The chunks were stored (and deduplicated) in the server's cache...
-  const sched::CacheStats chunks =
-      fabric.productServer().store().cacheStats();
-  EXPECT_GT(chunks.puts, 0u);
-  EXPECT_GT(chunks.storedBytes, 0u);
-  EXPECT_GT(chunks.entries, 0u);
+  // The chunks were stored (and deduplicated) in the server's store...
+  const ChunkStats chunks = fabric.productServer().store().chunkStats();
+  EXPECT_GT(chunks.publishes, 0u);
+  EXPECT_GT(chunks.chunkBytes, 0u);
+  EXPECT_GT(chunks.chunks, 0u);
   fabric.shutdown();
 
   // ...and never reached the shared disk tier, which holds exactly two
