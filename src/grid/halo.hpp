@@ -8,9 +8,9 @@
 //  * Synchronous: axis-by-axis blocking send/recv pairs with a global
 //    barrier after every axis — the original cascading model whose accrued
 //    latency grows with the communication path.
-//  * Asynchronous: all transfers posted as isend/irecv with unique tags
-//    ("allows out-of-order arrival and the unique tags maintain data
-//    integrity"), completed with a single waitAll.
+//  * Asynchronous: every transfer posted first as a buffered send with a
+//    unique tag ("allows out-of-order arrival and the unique tags maintain
+//    data integrity"), then every receive completed, with no barrier.
 //
 // Orthogonal to the mode, `reduced` selects the v7.2 algorithm-level
 // reduced communication tables (see field_id.hpp) instead of the full

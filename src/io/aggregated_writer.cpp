@@ -5,7 +5,6 @@
 #include "fault/injector.hpp"
 #include "telemetry/registry.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace awp::io {
 
@@ -38,12 +37,10 @@ void AggregatedWriter::writeSampleAt(std::uint64_t sampleIndex,
     // place at its original displacement. No buffering — the replayed
     // value must not also land at a fresh index.
     telemetry::ScopedSpan span(telemetry::Phase::Output);
-    Stopwatch watch;
     writeOne(sampleIndex, data);
     stats_.bytesWritten += recordFloats_ * sizeof(float);
     ++stats_.samplesRewritten;
     if (sampleIndex < lowestRewritten_) lowestRewritten_ = sampleIndex;
-    stats_.writeSeconds += watch.seconds();
     telemetry::count(telemetry::Counter::OutputBytes,
                      recordFloats_ * sizeof(float));
     telemetry::count(telemetry::Counter::ObservationsRewritten);
@@ -121,7 +118,6 @@ void AggregatedWriter::writeOne(std::uint64_t sampleIndex, const float* src) {
 void AggregatedWriter::flush() {
   if (samplesBuffered_ == 0) return;
   telemetry::ScopedSpan span(telemetry::Phase::Output);
-  Stopwatch watch;
   // Each buffered sample is written at its own displacement (one pwrite
   // per sample — the aggregation savings come from batching the *flushes*,
   // not from coalescing across steps, matching the paper's
@@ -132,7 +128,6 @@ void AggregatedWriter::flush() {
   const std::uint64_t bytes = samplesBuffered_ * recordFloats_ * sizeof(float);
   stats_.bytesWritten += bytes;
   ++stats_.flushes;
-  stats_.writeSeconds += watch.seconds();
   telemetry::count(telemetry::Counter::OutputBytes, bytes);
   samplesBuffered_ = 0;
   buffer_.clear();

@@ -48,7 +48,6 @@ struct WriterStats {
   std::uint64_t writeAttempts = 0;  // sample writes incl. retries
   std::uint64_t writeRetries = 0;   // failed attempts that were retried
   std::uint64_t samplesRewritten = 0;  // rollback-replay overwrites
-  double writeSeconds = 0.0;
 };
 
 class AggregatedWriter {

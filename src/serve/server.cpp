@@ -14,7 +14,6 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/taxonomy.hpp"
 #include "util/error.hpp"
-#include "util/md5.hpp"
 #include "util/retry.hpp"
 
 namespace awp::serve {
@@ -127,20 +126,12 @@ std::vector<TileDelta> ProductServer::publishTilesLocked(
       std::memcpy(payload.data() + (y - ext.y0) * ext.width(),
                   field.data() + ext.x0 + nx * y,
                   ext.width() * sizeof(float));
-    if (!forceAll) {
-      // Skip tiles whose stored content already matches: a window that
-      // changed nothing in this extent publishes nothing, and a window
-      // whose publish was dropped converges as soon as content diverges.
-      TileRecord rec;
-      if (store_.lookup(key, &rec) &&
-          rec.payloadFloats == payload.size()) {
-        const auto md5 =
-            Md5::hash(payload.data(), payload.size() * sizeof(float));
-        if (md5 == rec.chunkMd5) return;
-      }
-    }
-    const PublishOutcome out =
-        store_.publish(key, version, payload.data(), payload.size());
+    // Unless forced, tiles whose stored content already matches are
+    // skipped: a window that changed nothing in this extent publishes
+    // nothing, and a window whose publish was dropped converges as soon as
+    // content diverges.
+    const PublishOutcome out = store_.publish(
+        key, version, payload.data(), payload.size(), !forceAll);
     if (out.advanced)
       deltas.push_back(TileDelta{state.digestHex, Field::PgvH, tx, ty,
                                  version, complete});
@@ -246,6 +237,7 @@ void ProductServer::onScenarioComplete(const sched::SurfaceRunInfo& info,
         deltas = publishTilesLocked(state, state.totalSamples,
                                     /*forceAll=*/true, /*complete=*/true);
       });
+      state.canonicalPublished = true;
     } catch (const TransientError&) {
       // Retries exhausted under a sustained drop burst: the run state is
       // canonical, so the next reconcile() republishes and converges.
@@ -423,17 +415,18 @@ void ProductServer::reconcile() {
     std::lock_guard<std::mutex> slock(statsMu_);
     ++stats_.reconciles;
   }
-  // Pass 1 — store anti-entropy: a completed run whose tiles lag (a
-  // completion publish exhausted its retries under a drop burst) is
-  // republished from the canonical accumulator. No drop consult here: the
-  // reconcile path is the convergence backstop.
+  // Pass 1 — store anti-entropy: a completed run whose completion publish
+  // exhausted its retries under a drop burst is republished from the
+  // canonical accumulator. No drop consult here: the reconcile path is the
+  // convergence backstop.
   std::vector<TileDelta> repub;
   {
     std::lock_guard<std::mutex> lock(stateMu_);
     for (auto& [hex, state] : runs_) {
-      if (!state->complete) continue;
+      if (!state->complete || state->canonicalPublished) continue;
       auto deltas = publishTilesLocked(*state, state->totalSamples,
                                        /*forceAll=*/true, /*complete=*/true);
+      state->canonicalPublished = true;
       repub.insert(repub.end(), deltas.begin(), deltas.end());
     }
   }

@@ -140,8 +140,8 @@ class ProductServer final : public sched::ProductPublisher {
                           SubscriptionCallback callback);
   void unsubscribe(std::uint64_t id);
 
-  // Anti-entropy: re-publish any completed run whose tiles lag the store
-  // (a dropped completion publish) and re-deliver any store version a
+  // Anti-entropy: re-publish any completed run whose completion publish
+  // was dropped past its retries, and re-deliver any store version a
   // subscriber has not seen (a dropped notify). Broker pumps call this on
   // a tick cadence; it is cheap when nothing lags.
   void reconcile();
@@ -163,6 +163,9 @@ class ProductServer final : public sched::ProductPublisher {
     std::vector<float> accum;      // partial PGV-H, pgvh.bin record order
     bool tainted = false;
     bool complete = false;
+    // The canonical completion publish landed; reconcile() republishes
+    // only completed runs where it did not.
+    bool canonicalPublished = false;
     std::uint64_t totalSamples = 0;
   };
 

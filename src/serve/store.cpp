@@ -11,7 +11,8 @@ TileStore::TileStore(int tileEdge) : tileEdge_(tileEdge) {
 }
 
 PublishOutcome TileStore::publish(const TileKey& key, std::uint64_t version,
-                                  const float* payload, std::size_t count) {
+                                  const float* payload, std::size_t count,
+                                  bool skipUnchanged) {
   PublishOutcome out;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -20,6 +21,9 @@ PublishOutcome TileStore::publish(const TileKey& key, std::uint64_t version,
     if (superseding && version <= it->second.rec.version)
       return out;  // duplicate or stale publish: absorbed, never regress
     const Md5Digest md5 = Md5::hash(payload, count * sizeof(float));
+    if (skipUnchanged && superseding && md5 == it->second.rec.chunkMd5 &&
+        it->second.rec.payloadFloats == count)
+      return out;
     auto slot = chunks_.find(md5);
     const bool fresh = slot == chunks_.end();
     if (fresh)
@@ -49,14 +53,6 @@ PublishOutcome TileStore::publish(const TileKey& key, std::uint64_t version,
   telemetry::count(telemetry::Counter::ServeTileBytes,
                    count * sizeof(float));
   return out;
-}
-
-AWP_HOT bool TileStore::lookup(const TileKey& key, TileRecord* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  *out = it->second.rec;
-  return true;
 }
 
 AWP_HOT std::uint64_t TileStore::latestVersion(const TileKey& key) const {

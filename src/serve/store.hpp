@@ -74,14 +74,15 @@ class TileStore {
   [[nodiscard]] int tileEdge() const { return tileEdge_; }
 
   // Publish `payload` as the tile's content at `version`. No-op (absorbed
-  // duplicate) unless version strictly advances the tile's current one.
+  // duplicate) unless version strictly advances the tile's current one;
+  // with `skipUnchanged`, also a no-op when the payload matches the
+  // tile's current content (a window that changed nothing in the tile).
   PublishOutcome publish(const TileKey& key, std::uint64_t version,
-                         const float* payload, std::size_t count);
+                         const float* payload, std::size_t count,
+                         bool skipUnchanged = false);
 
-  // Index probe. Alloc-free/throw-free: the query and notify paths call
-  // this per candidate tile.
-  AWP_HOT bool lookup(const TileKey& key, TileRecord* out) const;
-  // Current version of a tile (0 = never published).
+  // Current version of a tile (0 = never published). Alloc-free/
+  // throw-free: the notify path probes it per candidate tile.
   AWP_HOT std::uint64_t latestVersion(const TileKey& key) const;
 
   // The tile's current payload, shared without a copy, and (when `rec` is

@@ -1,42 +1,15 @@
 #include "vcluster/cluster.hpp"
 
-#include <exception>
-#include <thread>
-#include <vector>
+#include <utility>
 
-#include "fault/injector.hpp"
+#include "vcluster/respawn.hpp"
 
 namespace awp::vcluster {
 
 void ThreadCluster::run(int nranks, const RankFn& fn) {
-  AWP_CHECK(nranks > 0);
-  ClusterState state(nranks);
-
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
-
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      // Tag the thread so fault-injection hooks below the Communicator
-      // (SharedFile, Mailbox) can attribute operations to this rank.
-      fault::setThreadRank(r);
-      Communicator comm(r, &state);
-      try {
-        fn(comm);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Retire from the barrier so surviving ranks are not deadlocked at
-        // their next synchronization point. This mirrors the fail-stop
-        // tolerance direction of §III.F: non-failing processes continue
-        // and the environment adapts to the failure.
-        state.barrier.arrive_and_drop();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
+  SupervisorOptions options;
+  options.respawnBudget = 0;
+  SupervisedCluster(nranks, std::move(options)).run(fn);
 }
 
 }  // namespace awp::vcluster

@@ -10,8 +10,7 @@
 
 namespace awp::vcluster {
 
-ClusterState::ClusterState(int nranks)
-    : size(nranks), barrier(nranks) {
+ClusterState::ClusterState(int nranks) : size(nranks) {
   AWP_CHECK(nranks > 0);
   mailboxes.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {
@@ -93,59 +92,21 @@ void Communicator::recv(int src, int tag, void* data, std::size_t bytes) {
   if (bytes > 0) std::memcpy(data, msg.payload.data(), bytes);
 }
 
-Request Communicator::isend(int dest, int tag, const void* data,
-                            std::size_t bytes) {
-  // Buffered-send semantics: the payload is copied now, so the request is
-  // already complete. Matches how AWP-ODC uses mpi_isend + waitall.
-  send(dest, tag, data, bytes);
-  Request req;
-  req.kind_ = Request::Kind::Send;
-  req.peer_ = dest;
-  req.tag_ = tag;
-  return req;
-}
-
-Request Communicator::irecv(int src, int tag, void* data, std::size_t bytes) {
-  Request req;
-  req.kind_ = Request::Kind::Recv;
-  req.peer_ = src;
-  req.tag_ = tag;
-  req.buf_ = data;
-  req.bytes_ = bytes;
-  return req;
-}
-
-void Communicator::wait(Request& req) {
-  if (req.kind_ == Request::Kind::Recv) {
-    recv(req.peer_, req.tag_, req.buf_, req.bytes_);
-  }
-  req.kind_ = Request::Kind::None;
-}
-
-void Communicator::waitAll(std::span<Request> reqs) {
-  for (auto& r : reqs) wait(r);
-}
-
 void Communicator::barrier() {
   state_->stats.barriers.fetch_add(1, std::memory_order_relaxed);
-  if (state_->interruptibleBarrier) {
-    // Message-based barrier: every blocking wait goes through a mailbox,
-    // so a respawn epoch bump can wake and fence it. A std::barrier wait
-    // cannot be interrupted, which would deadlock survivors whenever a
-    // rank dies between their arrival and its own.
-    fencePoint();
-    const std::uint8_t token = 1;
-    if (rank_ == 0) {
-      for (int r = 1; r < size(); ++r)
-        (void)recvValue<std::uint8_t>(r, kTagBarrierBase);
-      for (int r = 1; r < size(); ++r) sendValue(r, kTagBarrierBase, token);
-    } else {
-      sendValue(0, kTagBarrierBase, token);
-      (void)recvValue<std::uint8_t>(0, kTagBarrierBase);
-    }
-    return;
+  fencePoint();
+  // Pushed straight to the mailbox, bypassing send()'s stats and faults.
+  const auto token = [&](int dest) {
+    state_->mailboxes[static_cast<std::size_t>(dest)]->push(
+        Message{rank_, kTagBarrier, epochSeen_, {}});
+  };
+  if (rank_ == 0) {
+    for (int r = 1; r < size(); ++r) recv(r, kTagBarrier, nullptr, 0);
+    for (int r = 1; r < size(); ++r) token(r);
+  } else {
+    token(0);
+    recv(0, kTagBarrier, nullptr, 0);
   }
-  state_->barrier.arrive_and_wait();
 }
 
 template <typename T>

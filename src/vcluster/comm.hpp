@@ -2,14 +2,13 @@
 // Communicator: the MPI-substitute interface used by every parallel
 // component of the reproduction (solver halo exchange, mesh partitioner,
 // parallel I/O, checksum generation). It provides the subset of MPI that
-// AWP-ODC relies on — tagged point-to-point (blocking and non-blocking),
-// barrier, reductions, broadcast and gather — over in-process mailboxes.
+// AWP-ODC relies on — tagged point-to-point, barrier, reductions,
+// broadcast and gather — over in-process mailboxes.
 //
 // Permission model mirrors MPI buffered sends: send() copies the payload
 // and returns immediately; recv() blocks until a matching envelope arrives.
 
 #include <atomic>
-#include <barrier>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -44,41 +43,21 @@ struct CommStats {
   }
 };
 
-// Shared state for one virtual cluster; owned by ThreadCluster (where the
-// epoch stays 0 forever) or SupervisedCluster (which bumps it on respawn).
+// Shared state for one virtual cluster, owned by SupervisedCluster (which
+// bumps the epoch on a respawn or an abort).
 struct ClusterState {
   explicit ClusterState(int nranks);
 
   int size;
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
-  std::barrier<> barrier;
   CommStats stats;
   // Cluster incarnation epoch (see epoch.hpp). Bumped by the respawn
   // supervisor; Communicators built before the bump fence on their next
   // communication call.
   std::atomic<std::uint64_t> epoch{0};
-  // When set, barrier() synchronizes over mailboxes (fence-interruptible)
-  // instead of the native std::barrier, which cannot be woken by a
-  // respawn. SupervisedCluster sets this before launching rank threads.
-  bool interruptibleBarrier = false;
 };
 
 enum class ReduceOp { Sum, Min, Max };
-
-class Request {
- public:
-  Request() = default;
-  [[nodiscard]] bool valid() const { return kind_ != Kind::None; }
-
- private:
-  friend class Communicator;
-  enum class Kind { None, Send, Recv };
-  Kind kind_ = Kind::None;
-  int peer_ = -1;
-  int tag_ = 0;
-  void* buf_ = nullptr;
-  std::size_t bytes_ = 0;
-};
 
 class Communicator {
  public:
@@ -111,13 +90,6 @@ class Communicator {
   void send(int dest, int tag, const void* data, std::size_t bytes);
   void recv(int src, int tag, void* data, std::size_t bytes);
 
-  // Non-blocking: isend completes eagerly (buffered); irecv registers the
-  // destination buffer, and wait()/waitAll() perform the matching receive.
-  Request isend(int dest, int tag, const void* data, std::size_t bytes);
-  Request irecv(int src, int tag, void* data, std::size_t bytes);
-  void wait(Request& req);
-  void waitAll(std::span<Request> reqs);
-
   // Typed convenience wrappers.
   template <typename T>
   void sendSpan(int dest, int tag, std::span<const T> data) {
@@ -139,6 +111,9 @@ class Communicator {
   }
 
   // --- Collectives (deterministic: reduce in rank order at root 0) --------
+  // Token round through rank 0's mailbox, so an epoch fence wakes a rank
+  // waiting in it. Tokens are runtime traffic: they count in
+  // CommStats::barriers only, and consume no "comm.send" fault occurrence.
   void barrier();
   double allreduce(double value, ReduceOp op);
   std::int64_t allreduce(std::int64_t value, ReduceOp op);
@@ -161,7 +136,7 @@ class Communicator {
 };
 
 // Internal tag space for collectives; user tags must be >= 0.
-inline constexpr int kTagBarrierBase = -1;  // interruptible-barrier rounds
+inline constexpr int kTagBarrier = -1;
 inline constexpr int kTagReduce = -2;
 inline constexpr int kTagBcast = -3;
 inline constexpr int kTagGatherSize = -4;

@@ -18,7 +18,7 @@ namespace awp::vcluster {
 
 // A receiver-side fence check: `current` points at the cluster epoch,
 // `mine` is the epoch this Communicator joined under. Default-constructed
-// guards never fence (plain ThreadCluster runs stay epoch-0 forever).
+// guards never fence (a bare Mailbox outside any cluster).
 struct EpochGuard {
   const std::atomic<std::uint64_t>* current = nullptr;
   std::uint64_t mine = 0;
@@ -54,8 +54,8 @@ class EpochFenced : public Error {
 
 // Thrown by the "rank_death" fault site: the fail-stop loss of one rank
 // thread. A SupervisedCluster catches it in the rank wrapper and spawns a
-// replacement incarnation; an unsupervised cluster propagates it like any
-// other rank error.
+// replacement incarnation; with no budget left (a ThreadCluster run has
+// none) the loss escalates to RespawnExhaustedError.
 class RankDeathError : public Error {
  public:
   RankDeathError(int rank, std::uint64_t step)

@@ -168,7 +168,6 @@ void SupervisedCluster::rankMain(int rank, int incarnation) {
 
 void SupervisedCluster::run(const RankFn& fn) {
   state_ = std::make_unique<ClusterState>(nranks_);
-  state_->interruptibleBarrier = true;
   fn_ = &fn;
   {
     std::lock_guard<std::mutex> lock(mu_);

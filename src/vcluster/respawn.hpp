@@ -1,5 +1,6 @@
 #pragma once
-// SupervisedCluster: ThreadCluster plus the rank-level recovery ladder.
+// SupervisedCluster: the SPMD runner (ThreadCluster is its respawn-budget-0
+// entry) and the rank-level recovery ladder.
 // The launcher thread doubles as a supervisor: when a rank thread dies
 // (the "rank_death" fault site, modelling fail-stop node loss per §III.F)
 // or a watchdog asks for a respawn of a wedged rank, the supervisor bumps

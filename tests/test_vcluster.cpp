@@ -4,7 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "fault/injector.hpp"
 #include "util/error.hpp"
@@ -34,6 +38,50 @@ TEST(Cluster, PropagatesExceptions) {
                                     comm.barrier();
                                   }),
                Error);
+}
+
+TEST(Cluster, RankErrorUnblocksBlockedPeers) {
+  // A rank that throws while its peers block on it must fence them out of
+  // their waits, and run() must rethrow its error. The cluster runs on a
+  // detached thread so a hang fails the test in bounded time instead of
+  // stalling the suite.
+  const auto outcome = [](int nranks, ThreadCluster::RankFn fn) {
+    auto result = std::make_shared<std::promise<std::string>>();
+    std::future<std::string> done = result->get_future();
+    std::thread([nranks, fn = std::move(fn), result] {
+      try {
+        ThreadCluster::run(nranks, fn);
+        result->set_value("returned");
+      } catch (const std::exception& e) {
+        result->set_value(e.what());
+      }
+    }).detach();
+    if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready)
+      return std::string("hung");
+    return done.get();
+  };
+
+  EXPECT_EQ(outcome(2,
+                    [](Communicator& comm) {
+                      if (comm.rank() == 1) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(20));
+                        throw Error("rank 1 failed");
+                      }
+                      (void)comm.recvValue<int>(1, 4);  // never sent
+                    }),
+            "rank 1 failed");
+
+  EXPECT_EQ(outcome(3,
+                    [](Communicator& comm) {
+                      if (comm.rank() == 2) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(20));
+                        throw Error("rank 2 failed");
+                      }
+                      (void)comm.allreduce(1.0, ReduceOp::Sum);
+                    }),
+            "rank 2 failed");
 }
 
 TEST(Mailbox, InjectedPopStallDelaysButDelivers) {
@@ -95,21 +143,6 @@ TEST(Comm, FifoWithinSameEnvelope) {
       for (int i = 0; i < 10; ++i)
         EXPECT_EQ(comm.recvValue<int>(0, 5), i);
     }
-  });
-}
-
-TEST(Comm, NonBlockingWaitAll) {
-  ThreadCluster::run(4, [&](Communicator& comm) {
-    // Ring exchange with irecv/isend.
-    const int next = (comm.rank() + 1) % comm.size();
-    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
-    int incoming = -1;
-    std::vector<Request> reqs;
-    reqs.push_back(comm.irecv(prev, 1, &incoming, sizeof(int)));
-    const int outgoing = comm.rank() * 10;
-    reqs.push_back(comm.isend(next, 1, &outgoing, sizeof(int)));
-    comm.waitAll(reqs);
-    EXPECT_EQ(incoming, prev * 10);
   });
 }
 
