@@ -41,15 +41,8 @@ std::vector<core::SeismogramTrace> forward(double basinDepth) {
   vcluster::ThreadCluster::run(4, [&](vcluster::Communicator& comm) {
     vcluster::CartTopology topo(vcluster::Dims3{2, 2, 1});
     const mesh::MeshSpec spec{kDims.nx, kDims.ny, kDims.nz, kH, 0, 0};
-    mesh::MeshBlock block;
-    block.spec = mesh::subdomainFor(topo, spec, comm.rank());
-    block.points.resize(block.spec.pointCount());
-    for (std::size_t k = 0; k < block.spec.z.count(); ++k)
-      for (std::size_t j = 0; j < block.spec.y.count(); ++j)
-        for (std::size_t i = 0; i < block.spec.x.count(); ++i)
-          block.at(i, j, k) = cvm.sample((block.spec.x.begin + i) * kH,
-                                         (block.spec.y.begin + j) * kH,
-                                         (block.spec.z.begin + k) * kH);
+    const mesh::MeshBlock block = mesh::sampleBlock(
+        cvm, spec, mesh::subdomainFor(topo, spec, comm.rank()));
     core::SolverConfig config;
     config.globalDims = kDims;
     config.h = kH;

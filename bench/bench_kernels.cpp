@@ -104,16 +104,9 @@ void BM_WaveSolverTransient(benchmark::State& state) {
   const double h = 600.0;
   const auto model = vmodel::LayeredModel::socalBackground();
   const vcluster::CartTopology topo(vcluster::Dims3{1, 1, 1});
-  mesh::MeshBlock block;
-  block.spec = mesh::subdomainFor(
-      topo, mesh::MeshSpec{dims.nx, dims.ny, dims.nz, h, 0.0, 0.0}, 0);
-  block.points.resize(block.spec.pointCount());
-  for (std::size_t k = 0; k < dims.nz; ++k)
-    for (std::size_t j = 0; j < dims.ny; ++j)
-      for (std::size_t i = 0; i < dims.nx; ++i)
-        block.at(i, j, k) = model.sample(static_cast<double>(i) * h,
-                                         static_cast<double>(j) * h,
-                                         static_cast<double>(k) * h);
+  const mesh::MeshSpec spec{dims.nx, dims.ny, dims.nz, h, 0.0, 0.0};
+  const mesh::MeshBlock block =
+      mesh::sampleBlock(model, spec, mesh::subdomainFor(topo, spec, 0));
 
   double transientSeconds = 0.0;
   double steadySeconds = 0.0;

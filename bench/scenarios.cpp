@@ -44,19 +44,8 @@ ScenarioResult runWaveScenario(const MiniDomain& domain,
     // Sample this rank's mesh block directly from the CVM.
     const mesh::MeshSpec spec{domain.dims.nx, domain.dims.ny,
                               domain.dims.nz, domain.h, 0.0, 0.0};
-    mesh::MeshBlock block;
-    block.spec = mesh::subdomainFor(topo, spec, comm.rank());
-    block.points.resize(block.spec.pointCount());
-    for (std::size_t k = 0; k < block.spec.z.count(); ++k) {
-      const double depth =
-          static_cast<double>(block.spec.z.begin + k) * domain.h;
-      for (std::size_t j = 0; j < block.spec.y.count(); ++j)
-        for (std::size_t i = 0; i < block.spec.x.count(); ++i)
-          block.at(i, j, k) = cvm.sample(
-              static_cast<double>(block.spec.x.begin + i) * domain.h,
-              static_cast<double>(block.spec.y.begin + j) * domain.h,
-              depth);
-    }
+    const mesh::MeshBlock block = mesh::sampleBlock(
+        cvm, spec, mesh::subdomainFor(topo, spec, comm.rank()));
 
     core::SolverConfig config;
     config.globalDims = domain.dims;

@@ -43,16 +43,8 @@ RunOutput runScenario(const grid::GridDims& dims, double h,
 
     // Sample this rank's material block from the CVM.
     const mesh::MeshSpec spec{dims.nx, dims.ny, dims.nz, h, 0.0, 0.0};
-    mesh::MeshBlock block;
-    block.spec = mesh::subdomainFor(topo, spec, comm.rank());
-    block.points.resize(block.spec.pointCount());
-    for (std::size_t k = 0; k < block.spec.z.count(); ++k)
-      for (std::size_t j = 0; j < block.spec.y.count(); ++j)
-        for (std::size_t i = 0; i < block.spec.x.count(); ++i)
-          block.at(i, j, k) =
-              cvm.sample((block.spec.x.begin + i) * h,
-                         (block.spec.y.begin + j) * h,
-                         (block.spec.z.begin + k) * h);
+    const mesh::MeshBlock block = mesh::sampleBlock(
+        cvm, spec, mesh::subdomainFor(topo, spec, comm.rank()));
 
     core::SolverConfig config;
     config.globalDims = dims;

@@ -13,6 +13,7 @@
 #include "util/fp_env.hpp"
 #include "util/hot.hpp"
 #include "util/timer.hpp"
+#include "vcluster/epoch.hpp"
 
 namespace awp::core {
 
@@ -392,6 +393,8 @@ void WaveSolver::handleBlowup(const health::ClusterVerdict& cv) {
     const std::size_t from = step_;
     try {
       restart();
+    } catch (const vcluster::EpochFenced&) {
+      throw;  // a peer's failure or a respawn unwinds this rank, not ours
     } catch (const Error& e) {
       throw Error(guard_->abortDump(cv, from) +
                   "; rollback failed: " + e.what());

@@ -1,8 +1,7 @@
 #include "mesh/generator.hpp"
 
-#include <vector>
-
 #include "io/shared_file.hpp"
+#include "mesh/partitioner.hpp"
 #include "util/error.hpp"
 #include "vcluster/cart.hpp"
 #include "vcluster/cluster.hpp"
@@ -32,23 +31,16 @@ void generateMesh(vcluster::Communicator& comm,
 
   io::SharedFile f(path, io::SharedFile::Mode::ReadWrite);
 
-  // Slice decomposition along z: each rank extracts and writes its slices.
-  const auto zRange = vcluster::CartTopology::blockRange(
-      spec.nz, comm.size(), comm.rank());
-
-  std::vector<vmodel::Material> plane(spec.nx * spec.ny);
-  for (std::uint64_t k = zRange.begin; k < zRange.end; ++k) {
-    const double z = static_cast<double>(k) * spec.h;
-    for (std::uint64_t j = 0; j < spec.ny; ++j) {
-      const double y = spec.y0 + static_cast<double>(j) * spec.h;
-      for (std::uint64_t i = 0; i < spec.nx; ++i) {
-        const double x = spec.x0 + static_cast<double>(i) * spec.h;
-        plane[j * spec.nx + i] = model.sample(x, y, z);
-      }
-    }
-    f.writeAt(pointOffset(spec, 0, 0, k),
-              std::span<const vmodel::Material>(plane));
-  }
+  // Slice decomposition along z: each rank samples its slab of depth
+  // slices and writes it, contiguous in the file, at the slab's offset.
+  SubdomainSpec slab;
+  slab.x = {0, spec.nx};
+  slab.y = {0, spec.ny};
+  slab.z = vcluster::CartTopology::blockRange(spec.nz, comm.size(),
+                                              comm.rank());
+  const MeshBlock block = sampleBlock(model, spec, slab);
+  f.writeAt(pointOffset(spec, 0, 0, depthSlices(spec, slab).begin),
+            std::span<const vmodel::Material>(block.points));
   comm.barrier();
 }
 

@@ -30,8 +30,9 @@ MeshBlock readBlockFromGlobal(io::SharedFile& f, const MeshSpec& spec,
   block.spec = sub;
   block.points.resize(sub.pointCount());
   const std::size_t lnx = sub.x.count();
+  const vcluster::Range depth = depthSlices(spec, sub);
   std::size_t dst = 0;
-  for (std::uint64_t k = sub.z.begin; k < sub.z.end; ++k) {
+  for (std::uint64_t k = depth.begin; k < depth.end; ++k) {
     for (std::uint64_t j = sub.y.begin; j < sub.y.end; ++j) {
       f.readAt(pointOffset(spec, sub.x.begin, j, k),
                std::span<vmodel::Material>(&block.points[dst], lnx));
@@ -67,6 +68,30 @@ SubdomainSpec subdomainFor(const vcluster::CartTopology& topo,
   sub.y = vcluster::CartTopology::blockRange(spec.ny, topo.dims().y, c.y);
   sub.z = vcluster::CartTopology::blockRange(spec.nz, topo.dims().z, c.z);
   return sub;
+}
+
+vcluster::Range depthSlices(const MeshSpec& spec, const SubdomainSpec& sub) {
+  AWP_CHECK(sub.z.begin <= sub.z.end && sub.z.end <= spec.nz);
+  return {spec.nz - sub.z.end, spec.nz - sub.z.begin};
+}
+
+MeshBlock sampleBlock(const vmodel::VelocityModel& model,
+                      const MeshSpec& spec, const SubdomainSpec& sub) {
+  MeshBlock block;
+  block.spec = sub;
+  block.points.resize(sub.pointCount());
+  const vcluster::Range depth = depthSlices(spec, sub);
+  std::size_t at = 0;
+  for (std::uint64_t d = depth.begin; d < depth.end; ++d) {
+    const double z = static_cast<double>(d) * spec.h;
+    for (std::uint64_t j = sub.y.begin; j < sub.y.end; ++j) {
+      const double y = spec.y0 + static_cast<double>(j) * spec.h;
+      for (std::uint64_t i = sub.x.begin; i < sub.x.end; ++i)
+        block.points[at++] =
+            model.sample(spec.x0 + static_cast<double>(i) * spec.h, y, z);
+    }
+  }
+  return block;
 }
 
 void prePartitionMesh(vcluster::Communicator& comm,
@@ -175,11 +200,12 @@ MeshBlock readAndRedistribute(vcluster::Communicator& comm,
         in.readAt(pointOffset(spec, 0, yr.begin, k),
                   std::span<vmodel::Material>(band));
 
-        // Destination ranks: all (cx, cy) columns whose z-range holds k
+        // Destination ranks: all blocks whose depth slices hold plane k
         // and whose y-range intersects this band.
         for (int rank = 0; rank < topo.size(); ++rank) {
           const SubdomainSpec dst = subdomainFor(topo, spec, rank);
-          if (k < dst.z.begin || k >= dst.z.end) continue;
+          const vcluster::Range depth = depthSlices(spec, dst);
+          if (k < depth.begin || k >= depth.end) continue;
           const std::uint64_t yb = std::max(dst.y.begin, yr.begin);
           const std::uint64_t ye = std::min(dst.y.end, yr.end);
           if (yb >= ye) continue;
@@ -203,7 +229,8 @@ MeshBlock readAndRedistribute(vcluster::Communicator& comm,
   block.spec = mine;
   block.points.resize(mine.pointCount());
   const std::size_t lnx = mine.x.count();
-  for (std::uint64_t k = mine.z.begin; k < mine.z.end; ++k) {
+  const vcluster::Range depth = depthSlices(spec, mine);
+  for (std::uint64_t k = depth.begin; k < depth.end; ++k) {
     for (int b = 0; b < ySubdivision; ++b) {
       const auto yr = bandRange(b);
       const std::uint64_t yb = std::max(mine.y.begin, yr.begin);
@@ -215,7 +242,7 @@ MeshBlock readAndRedistribute(vcluster::Communicator& comm,
       std::size_t r = 0;
       for (std::uint64_t j = yb; j < ye; ++j) {
         vmodel::Material* dst =
-            &block.at(0, j - mine.y.begin, k - mine.z.begin);
+            &block.at(0, j - mine.y.begin, k - depth.begin);
         std::memcpy(dst, &rect[r], lnx * sizeof(vmodel::Material));
         r += lnx;
       }

@@ -23,6 +23,7 @@
 #include "mesh/mesh_file.hpp"
 #include "vcluster/cart.hpp"
 #include "vcluster/comm.hpp"
+#include "vmodel/cvm.hpp"
 
 namespace awp::mesh {
 
@@ -34,10 +35,18 @@ struct SubdomainSpec {
 };
 
 // The global index block owned by `rank` under a Cartesian decomposition.
+// Its z range counts up from the bottom of the model, as the solver's grid
+// does (core/geometry.hpp).
 SubdomainSpec subdomainFor(const vcluster::CartTopology& topo,
                            const MeshSpec& spec, int rank);
 
-// A rank's materialized sub-block (local storage, x fastest).
+// The mesh depth slices (k = 0 at the free surface) that hold `sub`:
+// [nz - z.end, nz - z.begin). The only conversion between a subdomain's
+// bottom-up z range and the mesh file's top-down planes.
+vcluster::Range depthSlices(const MeshSpec& spec, const SubdomainSpec& sub);
+
+// A rank's materialized sub-block (local storage, x fastest, then y, then
+// depth: local k = 0 is the shallowest of depthSlices(spec, sub)).
 struct MeshBlock {
   SubdomainSpec spec;
   std::vector<vmodel::Material> points;
@@ -51,6 +60,12 @@ struct MeshBlock {
     return points[li + spec.x.count() * (lj + spec.y.count() * lk)];
   }
 };
+
+// CVM2MESH for one block: samples `model` at (x0 + i*h, y0 + j*h, d*h) for
+// every point of `sub`, with d over depthSlices(spec, sub). The only loop
+// that turns a velocity model into material.
+MeshBlock sampleBlock(const vmodel::VelocityModel& model,
+                      const MeshSpec& spec, const SubdomainSpec& sub);
 
 // --- Model 1: pre-partitioning -------------------------------------------
 // Collective: each rank extracts its block from the global mesh file and

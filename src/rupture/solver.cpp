@@ -86,22 +86,10 @@ std::unique_ptr<core::WaveSolver> makeRuptureWaveSolver(
   // uses a 1D average structure along the SAF, §VII.A).
   const mesh::MeshSpec spec{config.globalDims.nx, config.globalDims.ny,
                             config.globalDims.nz, config.h, 0.0, 0.0};
-  mesh::MeshBlock block;
-  block.spec = mesh::subdomainFor(topo, spec, comm.rank());
-  block.points.resize(block.spec.pointCount());
-  for (std::size_t k = 0; k < block.spec.z.count(); ++k) {
-    // Mesh block k is a depth slice index (0 = surface).
-    const double depth = static_cast<double>(k) * config.h;
-    for (std::size_t j = 0; j < block.spec.y.count(); ++j)
-      for (std::size_t i = 0; i < block.spec.x.count(); ++i) {
-        const double x =
-            static_cast<double>(block.spec.x.begin + i) * config.h;
-        const double y =
-            static_cast<double>(block.spec.y.begin + j) * config.h;
-        block.at(i, j, k) = model.sample(x, y, depth);
-      }
-  }
-  return std::make_unique<core::WaveSolver>(comm, topo, base, block);
+  return std::make_unique<core::WaveSolver>(
+      comm, topo, base,
+      mesh::sampleBlock(model, spec,
+                        mesh::subdomainFor(topo, spec, comm.rank())));
 }
 
 FaultCondition::FaultCondition(core::WaveSolver& solver,

@@ -104,102 +104,13 @@ std::optional<std::vector<std::byte>> ArtifactCache::get(
   return fromDisk;
 }
 
-void ArtifactCache::accountPutLocked(std::uint64_t bytes) {
-  ++stats_.puts;
-  stats_.logicalBytes += bytes;
-  stats_.storedBytes += bytes;
-}
-
 void ArtifactCache::put(const std::string& key, std::vector<std::byte> value) {
   storeDisk(key, value);
   std::lock_guard<std::mutex> lock(mutex_);
-  accountPutLocked(value.size());
+  ++stats_.puts;
+  stats_.logicalBytes += value.size();
+  stats_.storedBytes += value.size();
   memory_[key] = std::move(value);
-}
-
-std::vector<std::byte> ArtifactCache::getOrCompute(
-    const std::string& key,
-    const std::function<std::vector<std::byte>()>& compute) {
-  for (;;) {
-    std::shared_ptr<Pending> waitOn;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      auto hit = memory_.find(key);
-      if (hit != memory_.end()) {
-        ++stats_.hits;
-        ++stats_.memoryHits;
-        return hit->second;
-      }
-      auto inFlight = pending_.find(key);
-      if (inFlight == pending_.end()) {
-        // This caller computes; publish the pending marker first.
-        pending_[key] = std::make_shared<Pending>();
-        break;
-      }
-      waitOn = inFlight->second;
-    }
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      waitOn->cv.wait(lock, [&] { return waitOn->done; });
-      if (!waitOn->failed) {
-        auto hit = memory_.find(key);
-        if (hit != memory_.end()) {
-          ++stats_.hits;
-          ++stats_.memoryHits;
-          return hit->second;
-        }
-      }
-      // Winner failed (or entry vanished): loop and retry as a candidate
-      // computer.
-    }
-  }
-
-  // We are the single in-flight computer for this key. Check the disk
-  // tier before paying for the compute.
-  auto finish = [&](bool failed) {
-    std::shared_ptr<Pending> p;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = pending_.find(key);
-      p = it->second;
-      pending_.erase(it);
-      p->done = true;
-      p->failed = failed;
-    }
-    p->cv.notify_all();
-  };
-
-  try {
-    auto fromDisk = loadDisk(key);
-    std::vector<std::byte> value;
-    if (fromDisk.has_value()) {
-      value = std::move(*fromDisk);
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hits;
-      ++stats_.diskLoads;
-      ++stats_.diskHits;
-      ++stats_.memoryMisses;
-      memory_[key] = value;
-    } else {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.misses;
-        ++stats_.computes;
-        ++stats_.memoryMisses;
-        ++stats_.diskMisses;
-      }
-      value = compute();
-      storeDisk(key, value);
-      std::lock_guard<std::mutex> lock(mutex_);
-      accountPutLocked(value.size());
-      memory_[key] = value;
-    }
-    finish(/*failed=*/false);
-    return value;
-  } catch (...) {
-    finish(/*failed=*/true);
-    throw;
-  }
 }
 
 CacheStats ArtifactCache::stats() const {

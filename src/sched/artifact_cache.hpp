@@ -1,26 +1,18 @@
 #pragma once
 // Content-addressed artifact cache. Keys are arbitrary strings (the
-// service uses scenario spec hashes and mesh descriptors); values are
-// byte blobs stored with their MD5 so every load is verified — a corrupt
-// or torn entry reads as a miss, never as wrong data (§III.H's checksum
-// discipline applied to the cache).
+// service uses scenario spec hashes); values are byte blobs stored with
+// their MD5 so every load is verified — a corrupt or torn entry reads as a
+// miss, never as wrong data (§III.H's checksum discipline applied to the
+// cache).
 //
 // Two tiers: an in-memory map (always), and an optional disk directory
 // where each entry lives in a file named by the MD5 of its key, written
 // atomically (tmp + rename) with a 16-byte digest header. The disk tier
 // makes memoized scenario products survive the process.
-//
-// getOrCompute is single-flight: concurrent requests for the same missing
-// key run the compute exactly once and share the result — the property
-// that dedupes identical mesh generation across concurrently admitted
-// scenarios.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -33,7 +25,7 @@ namespace awp::sched {
 struct CacheStats {
   std::uint64_t hits = 0;       // served from memory or disk
   std::uint64_t misses = 0;     // not present anywhere
-  std::uint64_t computes = 0;   // compute callbacks actually run
+  std::uint64_t computes = 0;   // always 0; the service report keeps the key
   std::uint64_t diskLoads = 0;  // hits satisfied from the disk tier
   // Per-tier breakdown: every lookup probes memory first, disk second, so
   // hits == memoryHits + diskHits and misses == diskMisses.
@@ -64,36 +56,18 @@ class ArtifactCache {
   // Insert/overwrite. Persists to the disk tier when one is configured.
   void put(const std::string& key, std::vector<std::byte> value);
 
-  // Single-flight memoization: if the key is cached, return it; otherwise
-  // run `compute` (exactly once across concurrent callers — the others
-  // block until the winner finishes) and cache its result. A compute that
-  // throws releases the other waiters to retry.
-  std::vector<std::byte> getOrCompute(
-      const std::string& key,
-      const std::function<std::vector<std::byte>()>& compute);
-
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] const std::string& directory() const { return directory_; }
 
  private:
-  struct Pending {
-    std::condition_variable cv;
-    bool done = false;    // winner finished (result is in the cache)
-    bool failed = false;  // winner threw; a waiter should retry
-  };
-
   [[nodiscard]] std::string entryPath(const std::string& key) const;
   std::optional<std::vector<std::byte>> loadDisk(const std::string& key);
   void storeDisk(const std::string& key,
                  const std::vector<std::byte>& value) const;
-  // Fold one stored put into the accounting.
-  void accountPutLocked(std::uint64_t bytes) AWP_REQUIRES(mutex_);
 
   std::string directory_;
   mutable std::mutex mutex_;
   std::map<std::string, std::vector<std::byte>> memory_
-      AWP_GUARDED_BY(mutex_);
-  std::map<std::string, std::shared_ptr<Pending>> pending_
       AWP_GUARDED_BY(mutex_);
   CacheStats stats_ AWP_GUARDED_BY(mutex_);
 };

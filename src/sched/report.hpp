@@ -56,7 +56,7 @@ struct ServiceReport {
   double queueLatencyMean = 0.0;
   double queueLatencyMax = 0.0;
 
-  CacheStats cache;  // artifact cache (mesh dedupe + product memoization)
+  CacheStats cache;  // artifact cache (product memoization)
 
   // Per-site retry/backoff statistics (util::retryRegistrySnapshot at
   // report time, process-wide): how often each fault-tolerant path — I/O,

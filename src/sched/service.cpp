@@ -37,35 +37,6 @@ std::string productKey(const std::string& specHash) {
   return "prod:" + specHash;
 }
 
-// Mesh identity: everything that determines the sampled material field.
-// Steps, seed, source and cadence knobs are deliberately absent — jobs
-// that differ only in those share one mesh generation.
-std::string meshKey(const ScenarioSpec& spec) {
-  return "mesh:" + std::to_string(spec.dims.nx) + "x" +
-         std::to_string(spec.dims.ny) + "x" + std::to_string(spec.dims.nz) +
-         ":h=" + std::to_string(spec.h) +
-         ":cvm=" + (spec.useCvm ? "1" : "0");
-}
-
-// Sample the full global material field from the synthetic CVM, x fastest.
-std::vector<std::byte> buildGlobalMesh(const ScenarioSpec& spec) {
-  const double lx = static_cast<double>(spec.dims.nx) * spec.h;
-  const double ly = static_cast<double>(spec.dims.ny) * spec.h;
-  const auto cvm =
-      vmodel::CommunityVelocityModel::socal(lx, ly, 0.55 * ly);
-  std::vector<vmodel::Material> field(spec.dims.count());
-  std::size_t at = 0;
-  for (std::size_t k = 0; k < spec.dims.nz; ++k)
-    for (std::size_t j = 0; j < spec.dims.ny; ++j)
-      for (std::size_t i = 0; i < spec.dims.nx; ++i)
-        field[at++] = cvm.sample(static_cast<double>(i) * spec.h,
-                                 static_cast<double>(j) * spec.h,
-                                 static_cast<double>(k) * spec.h);
-  std::vector<std::byte> bytes(field.size() * sizeof(vmodel::Material));
-  std::memcpy(bytes.data(), field.data(), bytes.size());
-  return bytes;
-}
-
 // Horizontal peak ground velocity per surface-file record position: the
 // layout's PGV-H fold over every sample record. Derived from the
 // surface.bin BYTES (not from in-memory accumulators) so it is exactly
@@ -87,12 +58,12 @@ std::vector<std::byte> derivePgvh(const std::vector<std::byte>& surface,
   return bytes;
 }
 
-// The wave kind's solver: the spec's domain over the cached CVM mesh (or a
-// uniform background), with an isotropic Ricker pulse at the centre.
+// The wave kind's solver: the spec's domain over the socal CVM (each rank
+// samples its own block) or a uniform background, with an isotropic Ricker
+// pulse at the centre.
 std::unique_ptr<core::WaveSolver> buildWaveSolver(
     vcluster::Communicator& comm, const vcluster::CartTopology& topo,
-    core::SolverConfig config, const ScenarioSpec& spec,
-    const std::vector<std::byte>& meshBytes) {
+    core::SolverConfig config, const ScenarioSpec& spec) {
   config.globalDims = spec.dims;
   config.h = spec.h;
   config.absorbing = core::AbsorbingType::Sponge;
@@ -100,21 +71,16 @@ std::unique_ptr<core::WaveSolver> buildWaveSolver(
 
   std::unique_ptr<core::WaveSolver> solver;
   if (spec.useCvm) {
+    const double lx = static_cast<double>(spec.dims.nx) * spec.h;
+    const double ly = static_cast<double>(spec.dims.ny) * spec.h;
+    const auto cvm =
+        vmodel::CommunityVelocityModel::socal(lx, ly, 0.55 * ly);
     const mesh::MeshSpec mspec{spec.dims.nx, spec.dims.ny, spec.dims.nz,
                                spec.h, 0.0, 0.0};
-    mesh::MeshBlock block;
-    block.spec = mesh::subdomainFor(topo, mspec, comm.rank());
-    block.points.resize(block.spec.pointCount());
-    const auto* field =
-        reinterpret_cast<const vmodel::Material*>(meshBytes.data());
-    for (std::size_t k = 0; k < block.spec.z.count(); ++k)
-      for (std::size_t j = 0; j < block.spec.y.count(); ++j)
-        for (std::size_t i = 0; i < block.spec.x.count(); ++i)
-          block.at(i, j, k) =
-              field[(block.spec.x.begin + i) +
-                    spec.dims.nx * ((block.spec.y.begin + j) +
-                                    spec.dims.ny * (block.spec.z.begin + k))];
-    solver = std::make_unique<core::WaveSolver>(comm, topo, config, block);
+    solver = std::make_unique<core::WaveSolver>(
+        comm, topo, config,
+        mesh::sampleBlock(cvm, mspec,
+                          mesh::subdomainFor(topo, mspec, comm.rank())));
   } else {
     const vmodel::Material uniform{6000.0f, 3464.0f, 2700.0f};
     solver = std::make_unique<core::WaveSolver>(comm, topo, config, uniform);
@@ -382,22 +348,6 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
       isRupture ? spec.ruptureConfig() : rupture::RuptureConfig{};
   const grid::GridDims dims = isRupture ? ruptureConfig.globalDims : spec.dims;
 
-  // Mesh generation is deduplicated across jobs (and across attempts of
-  // one job): the cache's single-flight getOrCompute means N concurrent
-  // jobs over the same domain pay for one sampling pass.
-  std::vector<std::byte> meshBytes;
-  if (!isRupture && spec.useCvm) {
-    bool computedHere = false;
-    meshBytes = cache_.getOrCompute(meshKey(spec), [&] {
-      computedHere = true;
-      return buildGlobalMesh(spec);
-    });
-    if (!computedHere)
-      telemetry::count(telemetry::Counter::ArtifactCacheHits);
-    AWP_CHECK(meshBytes.size() ==
-              spec.dims.count() * sizeof(vmodel::Material));
-  }
-
   // Recovery ladder: every attempt runs under a SupervisedCluster, a
   // dead/stalled rank is respawned in place while the budget lasts, and
   // the replacement restores disklessly from its ring buddy's in-memory
@@ -511,7 +461,7 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
                                                             ruptureConfig);
           solver->attachFault(fault.get());
         } else {
-          solver = buildWaveSolver(comm, topo, config, spec, meshBytes);
+          solver = buildWaveSolver(comm, topo, config, spec);
           // Surface output: unbuffered, undecimated, step-indexed writes
           // to a file that PERSISTS across attempts (open never truncates),
           // so a resumed attempt rewrites its replay window in place and
@@ -585,7 +535,7 @@ ScenarioProducts ScenarioService::attempt(JobState& job, int coreBase) {
               throw CancelledError(static_cast<RequeueCause>(flag), step);
           }
         });
-        if (fault) {
+        if (isRupture) {
           auto h = fault->gather();
           if (comm.rank() == 0) history = std::move(h);
         }

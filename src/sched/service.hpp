@@ -6,8 +6,8 @@
 // SPMD job under the health guard with a per-attempt watchdog. Identical
 // in-flight specs coalesce onto one execution; completed products are
 // memoized in a content-addressed artifact cache (spec-hash keyed, MD5
-// verified), so a resubmitted spec is served without re-execution and
-// concurrent jobs share one mesh generation.
+// verified), so a resubmitted spec is served without re-execution. Each
+// rank samples its own material block from the velocity model.
 //
 // Failure policy: an injected/real worker crash, a watchdog stall episode,
 // or a Fatal health verdict cancels the attempt COLLECTIVELY (the cancel

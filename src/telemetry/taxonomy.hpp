@@ -121,7 +121,7 @@ enum class Counter : std::size_t {
   ScenariosRejected,     // admission backpressure rejections
   ScenarioRetries,       // requeues after crash/stall/fatal verdicts
   ScenarioCacheHits,     // completed specs served from the artifact cache
-  ArtifactCacheHits,     // shared-artifact (mesh/material) cache hits
+  ArtifactCacheHits,     // no writer; reads 0 (kept for the report pins)
   RankRespawns,          // in-place rank respawns (recovery ladder rung 2)
   RespawnEscalations,    // respawn ladder fell back to cancel-and-requeue
   BuddyBlobsReplicated,  // checkpoint blobs shipped to the ring buddy

@@ -657,6 +657,39 @@ TEST_F(HealthTest, AbortDumpWhenNothingToRestore) {
   EXPECT_NE(what.find("trail:"), std::string::npos) << what;
 }
 
+TEST_F(HealthTest, FencedRollbackLeavesThePeerAbortToWin) {
+  // Only rank 0 can roll back. On the Fatal verdict rank 1 throws its abort
+  // dump while rank 0 waits in restart()'s allreduce, where the fence
+  // unwinds it. That fence is not a failure of rank 0: the run must rethrow
+  // rank 1's dump, not a "rollback failed" that wins by rank order.
+  const std::string ckptDir = (dir_ / "ckpt").string();
+  std::string what;
+  try {
+    ThreadCluster::run(2, [&](vcluster::Communicator& comm) {
+      const CartTopology topo(Dims3{2, 1, 1});
+      core::SolverConfig config;
+      config.globalDims = {28, 20, 14};
+      config.h = 600.0;
+      config.spongeWidth = 4;
+      config.health.enabled = true;
+      config.health.monitor.everySteps = 5;
+      io::CheckpointStore store(ckptDir);
+      core::WaveSolver solver(comm, topo, config,
+                              vmodel::Material{5200.0f, 3000.0f, 2700.0f});
+      if (comm.rank() == 0) solver.attachCheckpoints(&store, 1000);
+      solver.run(10, [&](std::size_t step) {
+        if (comm.rank() == 0 && step == 3)
+          solver.grid().field(grid::FieldId::U)(5, 5, 5) =
+              std::numeric_limits<float>::quiet_NaN();
+      });
+    });
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("[health] FATAL at step 5"), std::string::npos) << what;
+  EXPECT_EQ(what.find("rollback failed"), std::string::npos) << what;
+}
+
 // --- watchdog --------------------------------------------------------------
 
 TEST(Watchdog, ReportsTheStalledRankInsteadOfHanging) {

@@ -142,6 +142,59 @@ TEST_F(MeshTest, AllThreePartitioningModelsAgree) {
   }
 }
 
+// Subdomain z ranges count up from the bottom; mesh planes count down from
+// the surface. The top rank of a 1x1x2 split holds the shallow half.
+TEST_F(MeshTest, TopRankOfAZSplitHoldsTheShallowSlices) {
+  const auto spec = smallSpec();
+  const auto cvm = model();
+  generateMeshSerial(cvm, spec, path("mesh.bin"));
+  vcluster::CartTopology topo(vcluster::Dims3{1, 1, 2});
+  int top = -1;
+  for (int r = 0; r < topo.size(); ++r)
+    if (subdomainFor(topo, spec, r).z.end == spec.nz) top = r;
+  ASSERT_GE(top, 0);
+  const auto depth = depthSlices(spec, subdomainFor(topo, spec, top));
+  EXPECT_EQ(depth.begin, 0u);
+  EXPECT_EQ(depth.end, spec.nz / 2);
+
+  const auto block = readDirect(path("mesh.bin"), topo, top);
+  for (std::size_t k = 0; k < spec.nz / 2; ++k)
+    for (std::size_t j = 0; j < spec.ny; ++j)
+      for (std::size_t i = 0; i < spec.nx; ++i) {
+        const auto want = cvm.sample(static_cast<double>(i) * spec.h,
+                                     static_cast<double>(j) * spec.h,
+                                     static_cast<double>(k) * spec.h);
+        ASSERT_EQ(block.at(i, j, k).vs, want.vs) << i << "," << j << "," << k;
+        ASSERT_EQ(block.at(i, j, k).rho, want.rho);
+      }
+}
+
+// Every load path and direct sampling give each rank of a 2x2x2 split the
+// same block, bit for bit.
+TEST_F(MeshTest, LoadPathsAndSamplingAgreeOnAZSplit) {
+  const auto spec = smallSpec();
+  const auto cvm = model();
+  generateMeshSerial(cvm, spec, path("mesh.bin"));
+  vcluster::CartTopology topo(vcluster::Dims3{2, 2, 2});
+  auto expectSame = [](const MeshBlock& got, const MeshBlock& want) {
+    ASSERT_EQ(got.points.size(), want.points.size());
+    for (std::size_t n = 0; n < got.points.size(); ++n) {
+      ASSERT_EQ(got.points[n].vp, want.points[n].vp) << "point " << n;
+      ASSERT_EQ(got.points[n].vs, want.points[n].vs) << "point " << n;
+      ASSERT_EQ(got.points[n].rho, want.points[n].rho) << "point " << n;
+    }
+  };
+  vcluster::ThreadCluster::run(topo.size(), [&](vcluster::Communicator& comm) {
+    const MeshBlock sampled =
+        sampleBlock(cvm, spec, subdomainFor(topo, spec, comm.rank()));
+    prePartitionMesh(comm, path("mesh.bin"), topo, path("parts"));
+    expectSame(readPrePartitioned(path("parts"), comm.rank()), sampled);
+    expectSame(readAndRedistribute(comm, path("mesh.bin"), topo, 3, 2),
+               sampled);
+    expectSame(readDirect(path("mesh.bin"), topo, comm.rank()), sampled);
+  });
+}
+
 TEST_F(MeshTest, PrePartitionedFileBelongsToRank) {
   const auto spec = smallSpec();
   generateMeshSerial(model(), spec, path("mesh.bin"));

@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -254,6 +255,22 @@ TEST(RuptureSolver, DecompositionInvariant) {
                 1e-4f * std::max(1.0f, ref.finalSlip[n]));
     ASSERT_EQ(par.ruptureTime[n] < 0.0f, ref.ruptureTime[n] < 0.0f);
   }
+}
+
+TEST(RuptureSolver, DepthSplitMatchesTheSingleRankRun) {
+  // A z split must sample the same material as one rank. Rank-edge
+  // material halos still move the last bits, so compare to rounding.
+  const auto ref = runRupture(true, Dims3{1, 1, 1}, 120);
+  const auto par = runRupture(true, Dims3{1, 1, 2}, 120);
+  ASSERT_EQ(ref.finalSlip.size(), par.finalSlip.size());
+  const float peak =
+      *std::max_element(ref.finalSlip.begin(), ref.finalSlip.end());
+  ASSERT_GT(peak, 0.0f);
+  float worst = 0.0f;
+  for (std::size_t n = 0; n < ref.finalSlip.size(); ++n)
+    worst = std::max(worst, std::abs(par.finalSlip[n] - ref.finalSlip[n]));
+  EXPECT_LE(worst, 1e-5f * peak) << "peak slip " << peak << " m";
+  EXPECT_NEAR(par.momentMagnitude(), ref.momentMagnitude(), 1e-4);
 }
 
 // MD5 over the solver-produced maps and histories, in a fixed order.

@@ -769,12 +769,12 @@ TEST(HazardFabric, WaveTilesStayInMemory) {
   EXPECT_GT(chunks.chunks, 0u);
   fabric.shutdown();
 
-  // ...and never reached the shared disk tier, which holds exactly two
-  // entries: the memoized product and the CVM mesh.
+  // ...and never reached the shared disk tier, which holds exactly one
+  // entry: the memoized product.
   std::vector<std::string> onDisk;
   for (const auto& entry : fs::directory_iterator(root / "cache"))
     onDisk.push_back(entry.path().filename().string());
-  EXPECT_EQ(onDisk.size(), 2u);
+  EXPECT_EQ(onDisk.size(), 1u);
   for (const std::string& name : onDisk)
     EXPECT_TRUE(name.size() > 5 && name.substr(name.size() - 5) == ".blob")
         << name;
