@@ -42,6 +42,37 @@ inline float attenuate(float& r, float tau, float qinv, float a, float dt) {
 }
 
 // ---------------------------------------------------------------------------
+// The sponge taper at a Damped stress row's store: cell i of the row at
+// (j, k) is scaled by fx[i] * fjk with fjk = fy[j] * fz[k], exactly the
+// factor SpongeLayer::apply multiplies it by. sweep sets row0 and fjk per
+// row, so the row loop reads fx at a unit-stride offset.
+// ---------------------------------------------------------------------------
+
+struct RowTaper {
+  const float* __restrict fx = nullptr;
+  const float* fy = nullptr;
+  const float* fz = nullptr;
+  Idx row0 = 0;  // flat index of raw x = 0 on the current row
+  float fjk = 1.0f;
+
+  [[nodiscard]] RowTaper onRow(std::size_t j, std::size_t k, Idx rowStart)
+      const {
+    RowTaper t = *this;
+    t.row0 = rowStart;
+    t.fjk = fy[j] * fz[k];
+    return t;
+  }
+  // s += a, then the taper when Damped: (s + a) * (fx[i] * fjk).
+  template <bool Damped>
+  void store(float& s, float a, Idx n) const {
+    if constexpr (Damped)
+      s = (s + a) * (fx[n - row0] * fjk);
+    else
+      s += a;
+  }
+};
+
+// ---------------------------------------------------------------------------
 // Point stencils over flat offsets. Each holds the __restrict base pointers
 // of the fields it touches (distinct arrays, so they never alias) and the
 // flat strides of the grid: 1 in x, strideY = sx in y, strideZ = sx*sy in z.
@@ -52,6 +83,7 @@ inline float attenuate(float& r, float tau, float qinv, float a, float dt) {
 // across node n + nodeX / nodeY / nodeZ. ρ is averaged over n and
 // n + rhoNbr (the cell on the other side of the velocity node).
 struct VelocityRow {
+  static constexpr bool kDamped = false;
   float* __restrict vel;
   const float* __restrict tx;
   const float* __restrict ty;
@@ -72,9 +104,10 @@ struct VelocityRow {
 };
 
 // Normal stresses from the velocity divergence, plus the memory-variable
-// correction when Atten.
-template <bool Atten>
+// correction when Atten and the sponge taper when Damped.
+template <bool Atten, bool Damped>
 struct NormalRow {
+  static constexpr bool kDamped = Damped;
   const float* __restrict u;
   const float* __restrict v;
   const float* __restrict w;
@@ -90,6 +123,7 @@ struct NormalRow {
   const float* __restrict qinv;
   Idx strideY, strideZ;
   float dth, dt;
+  RowTaper taper;
 
   void operator()(Idx n) const {
     const float exx = diff(u, n, 1);
@@ -106,9 +140,9 @@ struct NormalRow {
       ayy += attenuate(ryy[n], tau[n], qinv[n], ayy, dt);
       azz += attenuate(rzz[n], tau[n], qinv[n], azz, dt);
     }
-    xx[n] += axx;
-    yy[n] += ayy;
-    zz[n] += azz;
+    taper.store<Damped>(xx[n], axx, n);
+    taper.store<Damped>(yy[n], ayy, n);
+    taper.store<Damped>(zz[n], azz, n);
   }
 };
 
@@ -117,9 +151,10 @@ struct NormalRow {
 // the harmonic mean over the four cells n + {aLo, aLo + strideA} x
 // {0, strideB}. Recip = true reads the stored reciprocals (1 division);
 // false recomputes 1/μ per use (5 divisions) — the pre-v6.0 arithmetic
-// (§IV.B).
-template <bool Recip, bool Atten>
+// (§IV.B). Damped applies the sponge taper at the store.
+template <bool Recip, bool Atten, bool Damped>
 struct ShearRow {
+  static constexpr bool kDamped = Damped;
   const float* __restrict va;
   const float* __restrict vb;
   float* __restrict s;
@@ -129,6 +164,7 @@ struct ShearRow {
   const float* __restrict qinv;
   Idx aLo, strideA, strideB;
   float dth, dt;
+  RowTaper taper;
 
   void operator()(Idx n) const {
     const Idx c0 = n + aLo;
@@ -141,7 +177,7 @@ struct ShearRow {
     const float e = addDiff(diff(va, n, strideB), vb, c0, strideA);
     float a = dth * m * e;
     if constexpr (Atten) a += attenuate(r[n], tau[n], qinv[n], a, dt);
-    s[n] += a;
+    taper.store<Damped>(s[n], a, n);
   }
 };
 
@@ -220,9 +256,17 @@ void sweep(const StaggeredGrid& g, const Region& r, const KernelOptions& o,
   const auto len = static_cast<Idx>(r.i1 - r.i0);
   withFlag(o.unrolled, [&](auto unroll) {
     driveLoops(r, o, [&](std::size_t j, std::size_t k) {
-      const Idx begin =
-          i0 + sx * static_cast<Idx>(j) + sxy * static_cast<Idx>(k);
-      sweepRow<decltype(unroll)::value>(row, begin, begin + len);
+      const Idx rowStart =
+          sx * static_cast<Idx>(j) + sxy * static_cast<Idx>(k);
+      const Idx begin = i0 + rowStart;
+      constexpr bool kUnroll = decltype(unroll)::value;
+      if constexpr (Row::kDamped) {
+        Row damped = row;
+        damped.taper = row.taper.onRow(j, k, rowStart);
+        sweepRow<kUnroll>(damped, begin, begin + len);
+      } else {
+        sweepRow<kUnroll>(row, begin, begin + len);
+      }
     });
   });
 }
@@ -261,54 +305,61 @@ AWP_HOT void updateVelocity(grid::StaggeredGrid& g, const KernelOptions& opts) {
 }
 
 AWP_HOT void updateStress(grid::StaggeredGrid& g, StressGroup group,
-                  const KernelOptions& opts, const Region& r) {
+                          const KernelOptions& opts, const Region& r,
+                          const SpongeTaper* taper) {
   const float dth = static_cast<float>(g.dt() / g.h());
   const float dt = static_cast<float>(g.dt());
   const auto y = static_cast<Idx>(g.sx());
   const auto z = y * static_cast<Idx>(g.sy());
+  RowTaper t;
+  if (taper != nullptr) t = RowTaper{taper->fx, taper->fy, taper->fz};
   withFlag(g.attenuation().enabled, [&](auto atten) {
     constexpr bool kAtten = decltype(atten)::value;
-    if (group == StressGroup::Normal) {
-      sweep(g, r, opts,
-            NormalRow<kAtten>{g.u.data(), g.v.data(), g.w.data(),
-                              g.xx.data(), g.yy.data(), g.zz.data(),
-                              g.lam.data(), g.mu.data(), g.rxx.data(),
-                              g.ryy.data(), g.rzz.data(), g.tauSigma.data(),
-                              g.qpInv.data(), y, z, dth, dt});
-      return;
-    }
-    withFlag(opts.useReciprocals, [&](auto recip) {
-      constexpr bool kRecip = decltype(recip)::value;
-      const float* mu = kRecip ? g.mui.data() : g.mu.data();
-      // xy sits at (i-1/2, j+1/2), xz at (i-1/2, k+1/2), yz at
-      // (j+1/2, k+1/2): a = x is differenced backward, a = y forward.
-      ShearRow<kRecip, kAtten> row{};
-      switch (group) {
-        case StressGroup::XY:
-          row = {g.u.data(), g.v.data(), g.xy.data(), mu, g.rxy.data(),
-                 g.tauSigma.data(), g.qsInv.data(), -1, 1, y, dth, dt};
-          break;
-        case StressGroup::XZ:
-          row = {g.u.data(), g.w.data(), g.xz.data(), mu, g.rxz.data(),
-                 g.tauSigma.data(), g.qsInv.data(), -1, 1, z, dth, dt};
-          break;
-        case StressGroup::YZ:
-        case StressGroup::Normal:
-          row = {g.v.data(), g.w.data(), g.yz.data(), mu, g.ryz.data(),
-                 g.tauSigma.data(), g.qsInv.data(), 0, y, z, dth, dt};
-          break;
+    withFlag(taper != nullptr, [&](auto damped) {
+      constexpr bool kDamped = decltype(damped)::value;
+      if (group == StressGroup::Normal) {
+        sweep(g, r, opts,
+              NormalRow<kAtten, kDamped>{
+                  g.u.data(), g.v.data(), g.w.data(), g.xx.data(),
+                  g.yy.data(), g.zz.data(), g.lam.data(), g.mu.data(),
+                  g.rxx.data(), g.ryy.data(), g.rzz.data(),
+                  g.tauSigma.data(), g.qpInv.data(), y, z, dth, dt, t});
+        return;
       }
-      sweep(g, r, opts, row);
+      withFlag(opts.useReciprocals, [&](auto recip) {
+        constexpr bool kRecip = decltype(recip)::value;
+        const float* mu = kRecip ? g.mui.data() : g.mu.data();
+        // xy sits at (i-1/2, j+1/2), xz at (i-1/2, k+1/2), yz at
+        // (j+1/2, k+1/2): a = x is differenced backward, a = y forward.
+        ShearRow<kRecip, kAtten, kDamped> row{};
+        switch (group) {
+          case StressGroup::XY:
+            row = {g.u.data(), g.v.data(), g.xy.data(), mu, g.rxy.data(),
+                   g.tauSigma.data(), g.qsInv.data(), -1, 1, y, dth, dt, t};
+            break;
+          case StressGroup::XZ:
+            row = {g.u.data(), g.w.data(), g.xz.data(), mu, g.rxz.data(),
+                   g.tauSigma.data(), g.qsInv.data(), -1, 1, z, dth, dt, t};
+            break;
+          case StressGroup::YZ:
+          case StressGroup::Normal:
+            row = {g.v.data(), g.w.data(), g.yz.data(), mu, g.ryz.data(),
+                   g.tauSigma.data(), g.qsInv.data(), 0, y, z, dth, dt, t};
+            break;
+        }
+        sweep(g, r, opts, row);
+      });
     });
   });
 }
 
-AWP_HOT void updateStress(grid::StaggeredGrid& g, const KernelOptions& opts) {
+AWP_HOT void updateStress(grid::StaggeredGrid& g, const KernelOptions& opts,
+                          const SpongeTaper* taper) {
   const Region r = Region::interior(g);
-  updateStress(g, StressGroup::Normal, opts, r);
-  updateStress(g, StressGroup::XY, opts, r);
-  updateStress(g, StressGroup::XZ, opts, r);
-  updateStress(g, StressGroup::YZ, opts, r);
+  updateStress(g, StressGroup::Normal, opts, r, taper);
+  updateStress(g, StressGroup::XY, opts, r, taper);
+  updateStress(g, StressGroup::XZ, opts, r, taper);
+  updateStress(g, StressGroup::YZ, opts, r, taper);
 }
 
 double velocityFlopsPerPoint() {

@@ -19,6 +19,8 @@
 //   * unrolled     — 2x unrolling of every row loop ("unrolling by 2
 //                    iterations gives the best performance")
 //   * hybrid       — k-slabs of rows across a §IV.D thread pool
+// Attenuation and the sponge's stress taper (a SpongeTaper given to
+// updateStress) are template flags of the stress rows as well.
 //
 // Staggering convention (h = grid spacing):
 //   xx, yy, zz at (i, j, k);  u at (i-1/2, j, k);  v at (i, j+1/2, k);
@@ -54,6 +56,17 @@ struct Region {
   }
 };
 
+// The stress half of a Cerjan sponge (SpongeLayer::taper()): per-raw-index
+// taper factors along each axis. Given to updateStress, every stress store
+// becomes (s + a) * (fx[i] * (fy[j] * fz[k])) — the float operations of
+// SpongeLayer::apply's pass over the same cell, so the damped store is
+// bit-identical to the store followed by the pass. Non-owning.
+struct SpongeTaper {
+  const float* fx = nullptr;
+  const float* fy = nullptr;
+  const float* fz = nullptr;
+};
+
 enum class VelocityComponent { U = 0, V, W };
 enum class StressGroup { Normal = 0, XY, XZ, YZ };
 
@@ -63,11 +76,14 @@ void updateVelocity(grid::StaggeredGrid& g, VelocityComponent comp,
 // All three components over the full interior.
 void updateVelocity(grid::StaggeredGrid& g, const KernelOptions& opts);
 
-// Update one stress group over a region from the current velocities.
+// Update one stress group over a region from the current velocities,
+// applying `taper` at the store when given.
 void updateStress(grid::StaggeredGrid& g, StressGroup group,
-                  const KernelOptions& opts, const Region& r);
+                  const KernelOptions& opts, const Region& r,
+                  const SpongeTaper* taper = nullptr);
 // All stress components over the full interior.
-void updateStress(grid::StaggeredGrid& g, const KernelOptions& opts);
+void updateStress(grid::StaggeredGrid& g, const KernelOptions& opts,
+                  const SpongeTaper* taper = nullptr);
 
 // Useful-flop estimates per interior grid point per full time step, for
 // sustained-performance accounting (§V.B).

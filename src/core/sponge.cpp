@@ -1,6 +1,8 @@
 #include "core/sponge.hpp"
 
 #include <cmath>
+#include <span>
+
 #include "util/hot.hpp"
 
 namespace awp::core {
@@ -51,12 +53,18 @@ SpongeLayer::SpongeLayer(const DomainGeometry& geom,
   }
 }
 
-AWP_HOT void SpongeLayer::apply(grid::StaggeredGrid& g) const {
+bool SpongeLayer::undampedFrom(std::size_t k) const {
+  for (; k < fz_.size(); ++k)
+    if (fz_[k] != 1.0f) return false;
+  return true;
+}
+
+AWP_HOT void SpongeLayer::apply(grid::StaggeredGrid& g, bool stresses) const {
   if (!active_) return;
   const std::size_t ax = g.sx(), ay = g.sy(), az = g.sz();
   Array3f* fields[] = {&g.u,  &g.v,  &g.w,  &g.xx, &g.yy,
                              &g.zz, &g.xy, &g.xz, &g.yz};
-  for (auto* f : fields) {
+  for (auto* f : std::span(fields).first(stresses ? 9 : 3)) {
     float* row = f->data();
     for (std::size_t k = 0; k < az; ++k) {
       const float fk = fz_[k];
@@ -69,9 +77,10 @@ AWP_HOT void SpongeLayer::apply(grid::StaggeredGrid& g) const {
           // guard (util/fp_env.hpp) the kernels never write a subnormal,
           // so there is none here for the skipped multiply to flush.
           for (const auto& [i0, i1] : xDamped_)
-            for (std::size_t i = i0; i < i1; ++i) row[i] *= fx_[i];
+            for (std::size_t i = i0; i < i1; ++i)  // row loop
+              row[i] *= fx_[i];
         } else {
-          for (std::size_t i = 0; i < ax; ++i) row[i] *= fx_[i] * fjk;
+          for (std::size_t i = 0; i < ax; ++i) row[i] *= fx_[i] * fjk;  // row loop
         }
       }
     }

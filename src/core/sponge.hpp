@@ -5,12 +5,19 @@
 // layers to absorb reflections is poorer than PMLs." Implemented as the
 // classic per-step multiplicative taper g(d) = exp(-(a (W-d))^2) applied
 // to all wavefields within W cells of the non-top physical boundaries.
+//
+// A cell's factor depends only on its global index, so the taper commutes
+// with the FS2 images (copy or negate) and with the halo exchange. That
+// lets the stress half run inside the stress kernel's store (taper() given
+// to updateStress) whenever nothing else writes a damped stress cell after
+// the store; apply() then tapers only the velocities.
 
 #include <cstddef>
 #include <utility>
 #include <vector>
 
 #include "core/geometry.hpp"
+#include "core/kernels.hpp"
 #include "grid/staggered_grid.hpp"
 
 namespace awp::core {
@@ -22,11 +29,23 @@ class SpongeLayer {
   SpongeLayer(const DomainGeometry& geom, const grid::StaggeredGrid& g,
               int width = 20, double amplitude = 0.015);
 
-  // Multiply all nine wavefields by the taper (call once per time step).
-  // Cells whose factor is exactly 1 are skipped.
-  void apply(grid::StaggeredGrid& g) const;
+  // Multiply the wavefields by the taper (call once per time step): all
+  // nine, or only u, v and w when the stress kernel already applied
+  // taper() at its store. Cells whose factor is exactly 1 are skipped.
+  void apply(grid::StaggeredGrid& g, bool stresses = true) const;
 
   [[nodiscard]] bool active() const { return active_; }
+  // The per-raw-index factors, for updateStress's damped store.
+  [[nodiscard]] SpongeTaper taper() const {
+    return {fx_.data(), fy_.data(), fz_.data()};
+  }
+  // Whether raw cell (i, j, k) has factor exactly 1.
+  [[nodiscard]] bool undamped(std::size_t i, std::size_t j,
+                              std::size_t k) const {
+    return fx_[i] == 1.0f && fy_[j] == 1.0f && fz_[k] == 1.0f;
+  }
+  // Whether every raw z plane from k up has factor exactly 1.
+  [[nodiscard]] bool undampedFrom(std::size_t k) const;
 
  private:
   // Per-raw-index damping factors along each axis (1.0 outside the sponge).

@@ -11,8 +11,7 @@ BuddyStore::BuddyStore(int nranks) {
   slots_.resize(static_cast<std::size_t>(nranks));
 }
 
-void BuddyStore::storeSelf(int rank, std::uint64_t step,
-                           std::vector<std::byte> blob) {
+void BuddyStore::storeSelf(int rank, std::uint64_t step, StateSnapshot blob) {
   AWP_CHECK_MSG(rank >= 0 && rank < size(), "storeSelf: rank out of range");
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = slots_[static_cast<std::size_t>(rank)];
@@ -26,7 +25,8 @@ void BuddyStore::storeReplica(int owner, std::uint64_t step,
                 "storeReplica: owner out of range");
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = slots_[static_cast<std::size_t>(owner)];
-  slot.replica = Blob{step, std::move(blob)};
+  slot.replica = Blob{
+      step, std::make_shared<const std::vector<std::byte>>(std::move(blob))};
   ++stats_.replicaStores;
 }
 
@@ -64,11 +64,11 @@ std::optional<std::vector<std::byte>> BuddyStore::restore(int rank,
   auto& slot = slots_[static_cast<std::size_t>(rank)];
   if (slot.self && slot.self->step == step) {
     ++stats_.restoresFromSelf;
-    return slot.self->bytes;
+    return *slot.self->bytes;
   }
   if (slot.replica && slot.replica->step == step) {
     ++stats_.restoresFromReplica;
-    return slot.replica->bytes;
+    return *slot.replica->bytes;
   }
   return std::nullopt;
 }

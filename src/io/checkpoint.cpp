@@ -92,12 +92,21 @@ bool CheckpointStore::exists(int rank) const {
   return false;
 }
 
+void CheckpointStore::countWrite(std::size_t stateBytes) {
+  telemetry::count(telemetry::Counter::CheckpointWrites);
+  telemetry::count(telemetry::Counter::CheckpointBytes,
+                   sizeof(Header) + stateBytes);
+}
+
 void CheckpointStore::write(int rank, std::uint64_t step,
                             std::span<const std::byte> state) {
   telemetry::ScopedSpan span(telemetry::Phase::Checkpoint);
-  telemetry::count(telemetry::Counter::CheckpointWrites);
-  telemetry::count(telemetry::Counter::CheckpointBytes,
-                   sizeof(Header) + state.size());
+  countWrite(state.size());
+  commit(rank, step, state);
+}
+
+void CheckpointStore::commit(int rank, std::uint64_t step,
+                             std::span<const std::byte> state) {
   Header h{};
   h.magic = kMagic;
   h.step = step;
@@ -271,6 +280,30 @@ std::optional<std::uint64_t> CheckpointStore::adoptNewestFrom(
     adopted = got.step;  // newest processed last
   }
   return adopted;
+}
+
+CheckpointWriter::~CheckpointWriter() {
+  try {
+    drain();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "[awp] checkpoint write dropped at shutdown: %s\n",
+                 e.what());
+  }
+}
+
+void CheckpointWriter::drain() {
+  if (inFlight_.valid()) inFlight_.get();
+}
+
+void CheckpointWriter::submit(CheckpointStore& store, int rank,
+                              std::uint64_t step, StateSnapshot state) {
+  drain();
+  CheckpointStore::countWrite(state->size());
+  inFlight_ = std::async(std::launch::async,
+                         [&store, rank, step, state = std::move(state)] {
+                           fault::setThreadRank(rank);
+                           store.commit(rank, step, *state);
+                         });
 }
 
 }  // namespace awp::io

@@ -10,8 +10,16 @@
 // the older generation slot only after an fsync, so a crash mid-write can
 // never destroy the previous good checkpoint. Reads verify the digest and
 // fall back from a torn/corrupt newest generation to the previous one.
+//
+// A solver hands each checkpoint to its CheckpointWriter, which runs the
+// MD5, write, fsync and rename off the rank thread with at most one write
+// in flight. The tmp + rename protocol hides an unfinished write, so a
+// reader (the collective restart agreement included) only ever sees
+// durable generations.
 
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -20,6 +28,11 @@
 #include "io/throttle.hpp"
 
 namespace awp::io {
+
+// One checkpoint's serialized rank state, immutable once taken: the
+// checkpoint writer, the buddy self slot and the replica send share it
+// instead of copying it.
+using StateSnapshot = std::shared_ptr<const std::vector<std::byte>>;
 
 class CheckpointStore {
  public:
@@ -30,10 +43,18 @@ class CheckpointStore {
   // "also applied to the checkpointing scheme".
   CheckpointStore(std::string directory, OpenThrottle* throttle = nullptr);
 
-  // Atomic generational write (tmp + fsync + rename onto the older slot).
-  // Fault-injection site "ckpt.payload" can bit-flip the payload as
-  // written, producing a checkpoint whose stored digest will not verify.
+  // Atomic generational write (tmp + fsync + rename onto the older slot)
+  // on the calling thread, recorded as a Checkpoint span and counted
+  // (countWrite) against it.
   void write(int rank, std::uint64_t step, std::span<const std::byte> state);
+  // The write itself — MD5, tmp write, fsync, rename — recording no
+  // telemetry, so a writer thread can run it for a rank. Fault-injection
+  // site "ckpt.payload" can bit-flip the payload as written, producing a
+  // checkpoint whose stored digest will not verify.
+  void commit(int rank, std::uint64_t step, std::span<const std::byte> state);
+  // Count one checkpoint write of a `stateBytes` payload (CheckpointWrites,
+  // CheckpointBytes) against the calling thread's rank.
+  static void countWrite(std::size_t stateBytes);
 
   struct Restored {
     std::uint64_t step = 0;
@@ -76,6 +97,34 @@ class CheckpointStore {
 
   std::string directory_;
   OpenThrottle* throttle_;
+};
+
+// A rank's background checkpoint writer (§III.F: "each processor is
+// responsible for writing and updating its own checkpoint data"): one
+// commit() in flight at a time, on its own thread, which takes the rank's
+// fault-injection attribution so "ckpt.payload" and "sharedfile.write"
+// still fire for that rank. It records no telemetry span; the rank's
+// waits for it (drain) fall in the caller's Checkpoint span.
+class CheckpointWriter {
+ public:
+  CheckpointWriter() = default;
+  // Waits for the in-flight write. Its error, if any, goes to stderr
+  // only: the owner is unwinding or done, and the tmp + rename protocol
+  // left the previous generation intact.
+  ~CheckpointWriter();
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  // Drain the previous write, count this one against the calling thread,
+  // then start committing `state` as `rank`'s generation `step`. The store
+  // must outlive the write.
+  void submit(CheckpointStore& store, int rank, std::uint64_t step,
+              StateSnapshot state);
+  // Wait for the in-flight write, if any, and rethrow its error here.
+  void drain();
+
+ private:
+  std::future<void> inFlight_;
 };
 
 }  // namespace awp::io

@@ -82,14 +82,18 @@ void Communicator::send(int dest, int tag, const void* data,
 }
 
 void Communicator::recv(int src, int tag, void* data, std::size_t bytes) {
+  const std::vector<std::byte> payload = recvBytes(src, tag);
+  AWP_CHECK_MSG(payload.size() == bytes,
+                "recv: payload size mismatch for (src, tag) envelope");
+  if (bytes > 0) std::memcpy(data, payload.data(), bytes);
+}
+
+std::vector<std::byte> Communicator::recvBytes(int src, int tag) {
   AWP_CHECK_MSG(src >= 0 && src < size(), "recv: source out of range");
   fencePoint();
-  Message msg =
-      state_->mailboxes[static_cast<std::size_t>(rank_)]->popMatch(
-          src, tag, EpochGuard{&state_->epoch, epochSeen_});
-  AWP_CHECK_MSG(msg.payload.size() == bytes,
-                "recv: payload size mismatch for (src, tag) envelope");
-  if (bytes > 0) std::memcpy(data, msg.payload.data(), bytes);
+  return state_->mailboxes[static_cast<std::size_t>(rank_)]
+      ->popMatch(src, tag, EpochGuard{&state_->epoch, epochSeen_})
+      .payload;
 }
 
 void Communicator::barrier() {
@@ -160,16 +164,10 @@ std::vector<std::vector<std::byte>> Communicator::gatherBytes(
     out.resize(static_cast<std::size_t>(size()));
     out[static_cast<std::size_t>(root)] =
         std::vector<std::byte>(payload.begin(), payload.end());
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      const auto n = recvValue<std::uint64_t>(r, kTagGatherSize);
-      auto& dst = out[static_cast<std::size_t>(r)];
-      dst.resize(n);
-      recv(r, kTagGatherData, dst.data(), n);
-    }
+    for (int r = 0; r < size(); ++r)
+      if (r != root)
+        out[static_cast<std::size_t>(r)] = recvBytes(r, kTagGatherData);
   } else {
-    sendValue(root, kTagGatherSize,
-              static_cast<std::uint64_t>(payload.size()));
     send(root, kTagGatherData, payload.data(), payload.size());
   }
   return out;

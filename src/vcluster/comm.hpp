@@ -89,6 +89,9 @@ class Communicator {
   // --- Point-to-point -----------------------------------------------------
   void send(int dest, int tag, const void* data, std::size_t bytes);
   void recv(int src, int tag, void* data, std::size_t bytes);
+  // Receive one (src, tag) message of any size and return its payload,
+  // moved out of the mailbox rather than copied into a caller buffer.
+  std::vector<std::byte> recvBytes(int src, int tag);
 
   // Typed convenience wrappers.
   template <typename T>
@@ -139,10 +142,8 @@ class Communicator {
 inline constexpr int kTagBarrier = -1;
 inline constexpr int kTagReduce = -2;
 inline constexpr int kTagBcast = -3;
-inline constexpr int kTagGatherSize = -4;
 inline constexpr int kTagGatherData = -5;
 // Buddy-checkpoint replica exchange (io::BuddyStore via the solver).
-inline constexpr int kTagBuddySize = -6;
 inline constexpr int kTagBuddyData = -7;
 
 }  // namespace awp::vcluster

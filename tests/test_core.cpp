@@ -327,6 +327,8 @@ struct GoldenCase {
   bool unrolled = false;
   int threads = 1;
   Dims3 dims{1, 1, 1};
+  // Adds a third source inside the x-max sponge (global x = 22).
+  bool spongeSource = false;
 };
 
 // Interiors of u, v, w, xx, yy, zz, xy, xz, yz in global x-fastest order
@@ -376,6 +378,18 @@ std::vector<float> goldenWavefield(const GoldenCase& gc, std::size_t steps) {
         11, 9, 8, rickerWavelet(4.0, 0.4, dt, 60, 1e15)));
     solver.addSource(strikeSlipPointSource(
         6, 13, 10, rickerWavelet(3.0, 0.5, dt, 60, 5e14)));
+    if (gc.spongeSource) {
+      solver.addSource(explosionPointSource(
+          22, 9, 8, rickerWavelet(4.0, 0.4, dt, 60, 1e15)));
+      // The rank that injects inside the sponge keeps the nine-field pass;
+      // every other rank fuses the stress taper into the store.
+      std::size_t li = 0, lj = 0, lk = 0;
+      EXPECT_EQ(solver.spongeFused(),
+                !solver.geometry().owns(22, 9, 8, li, lj, lk))
+          << "rank " << comm.rank();
+    } else {
+      EXPECT_TRUE(solver.spongeFused()) << "rank " << comm.rank();
+    }
     solver.run(steps);
     const auto& g = solver.grid();
     const auto& geo = solver.geometry();
@@ -439,6 +453,118 @@ TEST(Kernels, GoldenWavefield) {
   split.dims = Dims3{2, 2, 1};
   EXPECT_EQ(goldenWavefieldMd5(split), "97543965f0b45e31b281915cca3c9149")
       << "2x2x1";
+}
+
+// A source inside the sponge is injected after the stress store, so its
+// rank keeps the nine-field sponge pass while the other rank of a 2x1x1
+// split fuses the taper into the store. Both send tapered stresses across
+// the halo, so either run reproduces the digest pinned before the taper
+// moved into the store.
+TEST(Kernels, SourceInTheSpongeKeepsThePass) {
+  GoldenCase single;
+  single.spongeSource = true;
+  EXPECT_EQ(goldenWavefieldMd5(single), "ed69bbcef8fa008b2e7d761fbbb8a4f9")
+      << "1x1x1";
+  GoldenCase split = single;
+  split.dims = Dims3{2, 1, 1};
+  EXPECT_EQ(goldenWavefieldMd5(split), "26e4e5e454328f54a4d47ee253b81246")
+      << "2x1x1";
+}
+
+// The damped store is the sponge's own stress pass, fused: for every
+// kernel variant, updateStress with the SpongeLayer's taper followed by
+// the velocity-only pass leaves the interior of every field and memory
+// variable bit-identical to the plain store followed by the nine-field
+// pass. (Stress halo cells are the exchange's: it overwrites them with the
+// owner's tapered values.) The single rank touches every damped face, and
+// width 4 on 20x18x14 gives it x-only rows (fy * fz == 1) as well as fully
+// tapered ones.
+TEST(Kernels, DampedStoreMatchesTheSpongePass) {
+  const grid::GridDims dims{20, 18, 14};
+  const DomainGeometry geom = DomainGeometry::single(dims);
+  mesh::MeshBlock block;
+  block.spec = geom.local;
+  block.points.resize(block.spec.pointCount());
+  for (std::size_t k = 0; k < dims.nz; ++k)
+    for (std::size_t j = 0; j < dims.ny; ++j)
+      for (std::size_t i = 0; i < dims.nx; ++i) {
+        const float vs =
+            1800.0f +
+            40.0f * static_cast<float>((i * 7 + j * 13 + k * 5) % 17);
+        const float rho =
+            2000.0f + 10.0f * static_cast<float>((i + 2 * j + 3 * k) % 11);
+        block.at(i, j, k) = {1.8f * vs, vs, rho};
+      }
+  // Interiors of the nine wavefields and, under attenuation, the six
+  // memory variables.
+  const auto interiors = [&](grid::StaggeredGrid& g) {
+    std::vector<const Array3f*> fields = {&g.u,  &g.v,  &g.w,  &g.xx, &g.yy,
+                                          &g.zz, &g.xy, &g.xz, &g.yz};
+    if (g.attenuation().enabled)
+      fields.insert(fields.end(),
+                    {&g.rxx, &g.ryy, &g.rzz, &g.rxy, &g.rxz, &g.ryz});
+    std::vector<float> out;
+    for (const Array3f* f : fields)
+      for (std::size_t k = kHalo; k < kHalo + dims.nz; ++k)
+        for (std::size_t j = kHalo; j < kHalo + dims.ny; ++j)
+          for (std::size_t i = kHalo; i < kHalo + dims.nx; ++i)
+            out.push_back((*f)(i, j, k));
+    return out;
+  };
+  ThreadPool pool(2);
+  KernelOptions plain;
+  plain.useReciprocals = false;
+  KernelOptions recip;
+  KernelOptions unrolled;
+  unrolled.unrolled = true;
+  KernelOptions blocked;
+  blocked.cacheBlocked = true;
+  blocked.kblock = 5;
+  blocked.jblock = 3;
+  KernelOptions hybrid;
+  hybrid.pool = &pool;
+  const std::pair<const char*, KernelOptions> variants[] = {
+      {"plain", plain},   {"reciprocal", recip}, {"unrolled", unrolled},
+      {"blocked", blocked}, {"hybrid", hybrid}};
+
+  for (const bool atten : {false, true}) {
+    grid::AttenuationConfig ac;
+    ac.enabled = atten;
+    grid::StaggeredGrid base(dims, 100.0, 0.004, ac);
+    base.setMaterial(block);
+    // Every cell, halos included, holds a distinct value of either sign.
+    std::vector<std::byte> state = base.saveState();
+    std::vector<float> values(state.size() / sizeof(float));
+    std::uint32_t seed = 2026;
+    for (float& x : values) {
+      seed = seed * 1664525u + 1013904223u;
+      x = (static_cast<float>(seed >> 8) * 0x1.0p-24f - 0.5f) * 1e-3f;
+    }
+    std::memcpy(state.data(), values.data(), state.size());
+    base.restoreState(state);
+    const SpongeLayer sponge(geom, base, 4);
+    ASSERT_TRUE(sponge.active());
+    const SpongeTaper taper = sponge.taper();
+
+    for (const auto& [name, opts] : variants) {
+      SCOPED_TRACE(::testing::Message() << name << " atten=" << atten);
+      grid::StaggeredGrid passed(dims, 100.0, 0.004, ac);
+      grid::StaggeredGrid fused(dims, 100.0, 0.004, ac);
+      for (auto* g : {&passed, &fused}) {
+        g->setMaterial(block);
+        g->restoreState(state);
+      }
+      updateStress(passed, opts);
+      sponge.apply(passed);
+      updateStress(fused, opts, &taper);
+      sponge.apply(fused, /*stresses=*/false);
+      const auto a = interiors(passed);
+      const auto b = interiors(fused);
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+                0);
+    }
+  }
 }
 
 // The golden case stopped inside its subnormal wavefront transient: in

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "fault/injector.hpp"
 #include "io/aggregated_writer.hpp"
 #include "io/checkpoint.hpp"
 #include "io/checksum.hpp"
@@ -268,6 +269,38 @@ TEST_F(CheckpointTest, PerRankParallelWrites) {
               std::byte{static_cast<unsigned char>(comm.rank())});
   });
   EXPECT_LE(throttle.peakConcurrent(), 2);
+}
+
+TEST_F(CheckpointTest, WriterCommitsUnderTheRankAndRethrowsAtDrain) {
+  // The writer thread takes the submitting rank's fault attribution: two
+  // transient "sharedfile.write" faults scheduled for rank 3 hit its first
+  // write and are retried away. A permanent ENOSPC on the second write is
+  // not raised by submit() but by the next drain(), on the caller's
+  // thread, and the first generation stays the newest valid one.
+  fault::FaultPlan plan;
+  plan.transientIoError("sharedfile.write", /*rank=*/3, /*occurrence=*/1,
+                        /*count=*/2);
+  plan.add({"sharedfile.write", fault::FaultKind::NoSpace, /*rank=*/3,
+            /*occurrence=*/5, /*count=*/1, 0.0});
+  fault::FaultInjector injector(std::move(plan));
+  fault::ScopedInjection scope(injector);
+
+  CheckpointStore store(path("ckpt"));
+  const std::vector<std::byte> first(256, std::byte{0x31});
+  const std::vector<std::byte> second(256, std::byte{0x32});
+  CheckpointWriter writer;
+  writer.submit(store, 3, 10,
+                std::make_shared<const std::vector<std::byte>>(first));
+  writer.drain();
+  EXPECT_EQ(injector.faultsInjected(), 2u);
+  EXPECT_EQ(store.read(3).state, first);
+
+  writer.submit(store, 3, 20,
+                std::make_shared<const std::vector<std::byte>>(second));
+  EXPECT_THROW(writer.drain(), Error);
+  EXPECT_EQ(injector.faultsInjected(), 3u);
+  EXPECT_EQ(store.newestValidStep(3), 10u);
+  writer.drain();  // the error was delivered once; nothing is in flight
 }
 
 TEST(ParallelChecksum, DeterministicAcrossRuns) {

@@ -9,7 +9,7 @@ report, and checks every source line tagged `// row loop`: each must be
 reported "loop vectorized" and must carry no "couldn't vectorize loop" report
 (the FD row kernel is a template, so one line stands for every velocity and
 stress stencil instantiated on it). Guards against a refactor silently
-de-vectorizing the FD kernels or the health scan.
+de-vectorizing the FD kernels, the sponge pass or the health scan.
 """
 
 import json
@@ -21,6 +21,7 @@ import sys
 
 SOURCES = [
     os.path.join("src", "core", "kernels.cpp"),
+    os.path.join("src", "core", "sponge.cpp"),
     os.path.join("src", "health", "monitor.cpp"),
 ]
 MARKER = "// row loop"
