@@ -65,7 +65,9 @@ TEST(BuddyStore, StoresRestoresAndPrefersSelf) {
   EXPECT_FALSE(store.newestStep(0).has_value());
   EXPECT_FALSE(store.restore(0, 5).has_value());
 
-  store.storeSelf(0, 5, bytesOf("self-gen5"));
+  store.storeSelf(0, 5,
+                  std::make_shared<const std::vector<std::byte>>(
+                      bytesOf("self-gen5")));
   store.storeReplica(0, 5, bytesOf("replica-gen5"));
   ASSERT_TRUE(store.newestStep(0).has_value());
   EXPECT_EQ(*store.newestStep(0), 5u);
@@ -77,7 +79,9 @@ TEST(BuddyStore, StoresRestoresAndPrefersSelf) {
 
   // Newer generation replaces self in place; a step-5 restore now falls
   // through to the replica, and step 10 is served from the new self blob.
-  store.storeSelf(0, 10, bytesOf("self-gen10"));
+  store.storeSelf(0, 10,
+                  std::make_shared<const std::vector<std::byte>>(
+                      bytesOf("self-gen10")));
   EXPECT_EQ(*store.newestStep(0), 10u);
   auto replica = store.restore(0, 5);
   ASSERT_TRUE(replica.has_value());
