@@ -134,15 +134,23 @@ int main() {
   std::printf("  catalog digest %s (%.2f s)\n", baseline.digestHex().c_str(),
               baseline.wallSeconds);
 
-  // --- catalog with broker 1 fail-stopping mid-catalog --------------------
-  std::printf("\nresubmitting with broker 1 fail-stopping mid-catalog...\n");
+  // --- catalog with an event's owner fail-stopping mid-catalog -----------
+  // The victim owns the first event, and dies at its first pump tick with
+  // that work in flight.
+  const fabric::HashRing ring(3, 64);
+  const int victim = ring.ownerOf(
+      fabric::HashRing::pointFor(
+          cycle::eventSpec(rerun.events().front(), bridge).hashHex()),
+      0x7u);
+  std::printf("\nresubmitting with broker %d fail-stopping mid-catalog...\n",
+              victim);
   cycle::CycleCatalog survived;
   {
     const fs::path root = fs::temp_directory_path() / "awp-cycle-catalog-b";
     fs::remove_all(root);
     util::resetRetryRegistry();
     fault::FaultPlan plan;
-    plan.brokerDeath(/*broker=*/1, /*occurrence=*/8);
+    plan.brokerDeath(victim, /*occurrence=*/1);
     fault::FaultInjector injector(std::move(plan));
     fault::ScopedInjection scoped(injector);
 
@@ -151,8 +159,8 @@ int main() {
     survived = cycle::submitCatalog(chaos, config, rerunSummary,
                                     rerun.events(), bridge);
     survived.wallSeconds = timer.seconds();
-    ok &= expect(chaos.brokerState(1) == fabric::BrokerState::Dead,
-                 "broker 1 actually died");
+    ok &= expect(chaos.brokerState(victim) == fabric::BrokerState::Dead,
+                 "the victim broker actually died");
     chaos.shutdown();
     fs::remove_all(root);
   }

@@ -53,10 +53,10 @@ int main() {
   const fs::path root = fs::temp_directory_path() / "awp-fabric-ensemble";
   fs::remove_all(root);
 
-  // Fail-stop broker 1 at its 10th pump tick (~50 ms in), with the
-  // ensemble routed and some of its scenarios running there.
+  // Fail-stop broker 1 at its 4th pump tick with some of the ensemble's
+  // scenarios in flight there.
   fault::FaultPlan plan;
-  plan.brokerDeath(/*broker=*/1, /*occurrence=*/10);
+  plan.brokerDeath(/*broker=*/1, /*occurrence=*/4);
   fault::FaultInjector injector(std::move(plan));
   fault::ScopedInjection scoped(injector);
 

@@ -61,10 +61,10 @@ int main() {
   const fs::path root = fs::temp_directory_path() / "awp-hazard-server";
   fs::remove_all(root);
 
-  // Broker 1 dies at its 10th pump tick; every origin loses its first two
-  // window publishes outright.
+  // Broker 1 dies at its 4th pump tick with scenarios in flight there;
+  // every origin loses its first two window publishes outright.
   fault::FaultPlan plan;
-  plan.brokerDeath(/*broker=*/1, /*occurrence=*/10);
+  plan.brokerDeath(/*broker=*/1, /*occurrence=*/4);
   for (int origin = 0; origin < 3; ++origin)
     plan.servePublishDrop(origin, /*occurrence=*/1, /*count=*/2);
   fault::FaultInjector injector(std::move(plan));

@@ -186,12 +186,14 @@ struct ShearRow {
 // scoped to this loop: that is what lets the compiler vectorize it without
 // alias checks. Unroll is the §IV.B 2x unrolling ("unrolling by 2
 // iterations gives the best performance"), here applied to every row.
-// tools/check_vectorized.py fails CI unless every line tagged "row loop"
-// is reported vectorized.
+// AWP_SIMD_CLONES also builds every instantiation for AVX2, with the same
+// bits (util/hot.hpp). tools/check_vectorized.py fails CI unless every
+// line tagged "row loop" is reported vectorized, in both clones.
 // ---------------------------------------------------------------------------
 
 template <bool Unroll, typename Row>
-[[gnu::noinline]] AWP_HOT void sweepRow(const Row row, Idx begin, Idx end) {
+[[gnu::noinline]] AWP_SIMD_CLONES AWP_HOT void sweepRow(const Row row,
+                                                        Idx begin, Idx end) {
   if constexpr (Unroll) {
 #pragma GCC unroll 2
     for (Idx n = begin; n < end; ++n) row(n);  // row loop

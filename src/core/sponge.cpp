@@ -59,7 +59,8 @@ bool SpongeLayer::undampedFrom(std::size_t k) const {
   return true;
 }
 
-AWP_HOT void SpongeLayer::apply(grid::StaggeredGrid& g, bool stresses) const {
+AWP_SIMD_CLONES AWP_HOT void SpongeLayer::apply(grid::StaggeredGrid& g,
+                                                bool stresses) const {
   if (!active_) return;
   const std::size_t ax = g.sx(), ay = g.sy(), az = g.sz();
   Array3f* fields[] = {&g.u,  &g.v,  &g.w,  &g.xx, &g.yy,

@@ -101,7 +101,10 @@ void Broker::pumpLoop() {
 
 void Broker::pumpOnce() {
   if (state() == BrokerState::Dead) return;
-  if (fault::injectionEnabled()) {
+  // The death is consulted only on ticks with local work in flight, so
+  // "Nth tick" means N ticks into this broker's own work, however fast
+  // that work runs.
+  if (fault::injectionEnabled() && hasWorkInFlight()) {
     if (auto act = fault::activeInjector()->check("broker_death", config_.id);
         act && act->kind == fault::FaultKind::RankDeath) {
       die("broker_death injected at pump tick");
@@ -119,6 +122,13 @@ void Broker::pumpOnce() {
       pumpTicks_ % static_cast<std::uint64_t>(config_.reconcileEveryTicks) ==
           0)
     config_.reconcile();
+}
+
+bool Broker::hasWorkInFlight() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [digest, job] : tracked_)
+    if (!job->done()) return true;
+  return false;
 }
 
 void Broker::routeAndSettle() {

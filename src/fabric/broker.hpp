@@ -8,6 +8,8 @@
 // local settles and stop() ring it, and a ring runs routeAndSettle only;
 // the broker_death consult, heartbeat and reconcile count stay on the
 // pumpIntervalSeconds timer tick, so "Nth pump tick" keeps its meaning.
+// The broker_death consult also runs only on ticks with local work in
+// flight, so a death scheduled at the Nth such tick always lands on work.
 //
 // State machine:
 //   Active   — routes submissions by the consistent-hash ring: owned
@@ -130,6 +132,8 @@ class Broker {
  private:
   void pumpLoop();
   void pumpOnce();  // timer tick
+  // A local job is queued or running (tracked and not yet done).
+  [[nodiscard]] bool hasWorkInFlight() const;
   // Drain the inbox, reap completions, flush parked work while Active.
   void routeAndSettle();
   void heartbeat(double now);

@@ -27,7 +27,8 @@
 //                                        in-memory replica, forcing the
 //                                        disk fallback on restore)
 //   broker_death                       — top of each hazard-fabric broker
-//                                        pump tick; rank = broker id
+//                                        pump tick with a local job queued
+//                                        or running; rank = broker id
 //                                        (RankDeath fail-stops the broker:
 //                                        its service aborts, its lease
 //                                        lapses, its hash range moves)
@@ -128,7 +129,8 @@ class FaultPlan {
   // Lose rank `rank`'s in-memory buddy replica at the given replication.
   FaultPlan& buddyDrop(int rank, std::uint64_t occurrence,
                        std::uint64_t count = 1);
-  // Fail-stop fabric broker `broker` at its occurrence-th pump tick.
+  // Fail-stop fabric broker `broker` at its occurrence-th pump tick with
+  // local work in flight (idle ticks are not counted).
   FaultPlan& brokerDeath(int broker, std::uint64_t occurrence);
   // Drop `count` consecutive fabric sends/lease renewals FROM `broker`
   // starting at the occurrence-th "fabric_drop" consult. A long run

@@ -1,5 +1,6 @@
 #include "grid/halo.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "telemetry/registry.hpp"
@@ -31,58 +32,61 @@ std::size_t planeFloats(const Interior& in, int axis, int count) {
   }
 }
 
-// Pack `count` planes starting at raw index `start` along `axis` into buf,
-// which the caller must have sized to planeFloats() already (the exchanger
+// The `count` planes from raw index `start` along `axis`, over the interior
+// cross-section of the other two axes, as raw [lo, hi) index ranges. Only
+// that cross-section is exchanged: the stencils never read halo corners or
+// edges (all derivatives are axis-aligned), so faces are sufficient.
+struct Face {
+  std::size_t i0, i1, j0, j1, k0, k1;
+};
+
+Face faceOf(const Interior& in, int axis, std::size_t start, int count) {
+  Face b{kHalo, kHalo + in.nx, kHalo, kHalo + in.ny, kHalo, kHalo + in.nz};
+  const std::size_t end = start + static_cast<std::size_t>(count);
+  switch (axis) {
+    case 0:
+      b.i0 = start, b.i1 = end;
+      break;
+    case 1:
+      b.j0 = start, b.j1 = end;
+      break;
+    default:
+      b.k0 = start, b.k1 = end;
+      break;
+  }
+  return b;
+}
+
+// Pack the face into buf, k-major then j, one contiguous x run at a time.
+// The caller must have sized buf to planeFloats() already (the exchanger
 // stages through persistent scratch, so this path never allocates).
-// Only the interior cross-section of the other two axes is packed: the
-// stencils never read halo corners or edges (all derivatives are
-// axis-aligned), so faces are sufficient.
 AWP_HOT void pack(const Array3f& f, int axis, std::size_t start, int count,
                   std::span<float> buf) {
   const Interior in = interiorOf(f);
   // awplint: hot-ok(size assert runs once per message, outside the copy loops; fires only on a caller bug)
   AWP_CHECK(buf.size() == planeFloats(in, axis, count));
-  std::size_t at = 0;
-  if (axis == 0) {
-    for (std::size_t k = kHalo; k < kHalo + in.nz; ++k)
-      for (std::size_t j = kHalo; j < kHalo + in.ny; ++j)
-        for (int p = 0; p < count; ++p)
-          buf[at++] = f(start + static_cast<std::size_t>(p), j, k);
-  } else if (axis == 1) {
-    for (std::size_t k = kHalo; k < kHalo + in.nz; ++k)
-      for (int p = 0; p < count; ++p)
-        for (std::size_t i = kHalo; i < kHalo + in.nx; ++i)
-          buf[at++] = f(i, start + static_cast<std::size_t>(p), k);
-  } else {
-    for (int p = 0; p < count; ++p)
-      for (std::size_t j = kHalo; j < kHalo + in.ny; ++j)
-        for (std::size_t i = kHalo; i < kHalo + in.nx; ++i)
-          buf[at++] = f(i, j, start + static_cast<std::size_t>(p));
-  }
+  const Face b = faceOf(in, axis, start, count);
+  const std::size_t len = b.i1 - b.i0;
+  float* out = buf.data();
+  for (std::size_t k = b.k0; k < b.k1; ++k)
+    for (std::size_t j = b.j0; j < b.j1; ++j) {
+      const float* run = &f(b.i0, j, k);
+      out = std::copy(run, run + len, out);
+    }
 }
 
+// The inverse of pack: the same runs in the same order.
 AWP_HOT void unpack(Array3f& f, int axis, std::size_t start, int count,
                     std::span<const float> buf) {
   const Interior in = interiorOf(f);
   // awplint: hot-ok(size assert runs once per message, outside the copy loops; fires only on a caller bug)
   AWP_CHECK(buf.size() == planeFloats(in, axis, count));
-  std::size_t at = 0;
-  if (axis == 0) {
-    for (std::size_t k = kHalo; k < kHalo + in.nz; ++k)
-      for (std::size_t j = kHalo; j < kHalo + in.ny; ++j)
-        for (int p = 0; p < count; ++p)
-          f(start + static_cast<std::size_t>(p), j, k) = buf[at++];
-  } else if (axis == 1) {
-    for (std::size_t k = kHalo; k < kHalo + in.nz; ++k)
-      for (int p = 0; p < count; ++p)
-        for (std::size_t i = kHalo; i < kHalo + in.nx; ++i)
-          f(i, start + static_cast<std::size_t>(p), k) = buf[at++];
-  } else {
-    for (int p = 0; p < count; ++p)
-      for (std::size_t j = kHalo; j < kHalo + in.ny; ++j)
-        for (std::size_t i = kHalo; i < kHalo + in.nx; ++i)
-          f(i, j, start + static_cast<std::size_t>(p)) = buf[at++];
-  }
+  const Face b = faceOf(in, axis, start, count);
+  const std::size_t len = b.i1 - b.i0;
+  const float* run = buf.data();
+  for (std::size_t k = b.k0; k < b.k1; ++k)
+    for (std::size_t j = b.j0; j < b.j1; ++j, run += len)
+      std::copy(run, run + len, &f(b.i0, j, k));
 }
 
 std::size_t interiorExtent(const Interior& in, int axis) {

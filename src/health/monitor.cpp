@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/hot.hpp"
+
 namespace awp::health {
 
 using grid::kHalo;
@@ -29,8 +31,9 @@ constexpr std::uint32_t kNonFiniteBits = 0x7f800000u;
 // Max over one field's interior of the float bits with the sign cleared.
 // For finite floats that order matches |v|, so the result is exactly the
 // bit pattern of max |v|; it is >= kNonFiniteBits iff some value is NaN or
-// Inf. Branch-free so each row vectorizes.
-std::uint32_t maxAbsBits(const Array3f& f, const grid::GridDims& d) {
+// Inf. Branch-free so each row vectorizes; the AVX2 clone has the unsigned
+// max (vpmaxud) that SSE2 lacks.
+AWP_SIMD_CLONES std::uint32_t maxAbsBits(const Array3f& f, const grid::GridDims& d) {
   std::uint32_t peak = 0;
   for (std::size_t k = kHalo; k < kHalo + d.nz; ++k)
     for (std::size_t j = kHalo; j < kHalo + d.ny; ++j) {

@@ -567,6 +567,202 @@ TEST(Kernels, DampedStoreMatchesTheSpongePass) {
   }
 }
 
+// The scalar reference for Kernels.ClonedRowsMatchTheScalarStencil: the
+// per-point formulas of core/kernels.cpp written out over (i, j, k), one
+// point at a time, with the same float operations in the same order.
+struct Cell {
+  std::size_t i, j, k;
+  // The cell d steps along axis (0 = x, 1 = y, 2 = z).
+  [[nodiscard]] Cell moved(int axis, int d) const {
+    const auto s = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(d));
+    return {axis == 0 ? i + s : i, axis == 1 ? j + s : j,
+            axis == 2 ? k + s : k};
+  }
+};
+
+float& at(Array3f& f, Cell c) { return f(c.i, c.j, c.k); }
+
+constexpr float kC1 = 9.0f / 8.0f;
+constexpr float kC2 = -1.0f / 24.0f;
+
+// 4th-order staggered difference of f across node c along axis, added to
+// acc term by term when given one.
+float diffAt(Array3f& f, Cell c, int axis) {
+  return kC1 * (at(f, c.moved(axis, 1)) - at(f, c)) +
+         kC2 * (at(f, c.moved(axis, 2)) - at(f, c.moved(axis, -1)));
+}
+float addDiffAt(float acc, Array3f& f, Cell c, int axis) {
+  return acc + kC1 * (at(f, c.moved(axis, 1)) - at(f, c)) +
+         kC2 * (at(f, c.moved(axis, 2)) - at(f, c.moved(axis, -1)));
+}
+
+float attenuateAt(float& r, float tau, float qinv, float a, float dt) {
+  const float htau = 0.5f * dt / tau;
+  const float rNew = (r * (1.0f - htau) - qinv * a / tau) / (1.0f + htau);
+  const float corr = 0.5f * dt * (rNew + r);
+  r = rNew;
+  return corr;
+}
+
+template <typename Fn>
+void forInterior(const grid::StaggeredGrid& g, Fn&& fn) {
+  const auto& d = g.dims();
+  for (std::size_t k = kHalo; k < kHalo + d.nz; ++k)
+    for (std::size_t j = kHalo; j < kHalo + d.ny; ++j)
+      for (std::size_t i = kHalo; i < kHalo + d.nx; ++i) fn(Cell{i, j, k});
+}
+
+void scalarVelocity(grid::StaggeredGrid& g) {
+  const float dth = static_cast<float>(g.dt() / g.h());
+  // Velocity c from the stresses differenced across the node shifted by
+  // -1 along each axis in `back`, with ρ averaged towards `rhoNbr`.
+  const auto update = [&](Array3f& vel, Array3f& tx, Array3f& ty,
+                          Array3f& tz, const int (&back)[3], Cell c,
+                          Cell rhoNbr) {
+    const float d = 0.5f * (at(g.rho, c) + at(g.rho, rhoNbr));
+    float acc = diffAt(tx, c.moved(0, -back[0]), 0);
+    acc = addDiffAt(acc, ty, c.moved(1, -back[1]), 1);
+    acc = addDiffAt(acc, tz, c.moved(2, -back[2]), 2);
+    at(vel, c) += (dth / d) * acc;
+  };
+  forInterior(g, [&](Cell c) {
+    update(g.u, g.xx, g.xy, g.xz, {1, 1, 1}, c, c.moved(0, -1));
+    update(g.v, g.xy, g.yy, g.yz, {0, 0, 1}, c, c.moved(1, 1));
+    update(g.w, g.xz, g.yz, g.zz, {0, 1, 0}, c, c.moved(2, 1));
+  });
+}
+
+void scalarStress(grid::StaggeredGrid& g, bool recip,
+                  const SpongeTaper* taper) {
+  const float dth = static_cast<float>(g.dt() / g.h());
+  const float dt = static_cast<float>(g.dt());
+  const bool atten = g.attenuation().enabled;
+  const auto store = [&](Array3f& s, float a, Cell c) {
+    if (taper != nullptr)
+      at(s, c) = (at(s, c) + a) *
+                 (taper->fx[c.i] * (taper->fy[c.j] * taper->fz[c.k]));
+    else
+      at(s, c) += a;
+  };
+  forInterior(g, [&](Cell c) {
+    const float exx = diffAt(g.u, c, 0);
+    const float eyy = diffAt(g.v, c.moved(1, -1), 1);
+    const float ezz = diffAt(g.w, c.moved(2, -1), 2);
+    const float tr = exx + eyy + ezz;
+    const float l = at(g.lam, c);
+    const float m2 = 2.0f * at(g.mu, c);
+    float axx = dth * (l * tr + m2 * exx);
+    float ayy = dth * (l * tr + m2 * eyy);
+    float azz = dth * (l * tr + m2 * ezz);
+    if (atten) {
+      const float tau = at(g.tauSigma, c);
+      const float q = at(g.qpInv, c);
+      axx += attenuateAt(at(g.rxx, c), tau, q, axx, dt);
+      ayy += attenuateAt(at(g.ryy, c), tau, q, ayy, dt);
+      azz += attenuateAt(at(g.rzz, c), tau, q, azz, dt);
+    }
+    store(g.xx, axx, c);
+    store(g.yy, ayy, c);
+    store(g.zz, azz, c);
+  });
+  // σ_ab from v_a differenced forward along b and v_b across the node
+  // shifted by aLo along a; μ is the harmonic mean over four cells.
+  const auto shear = [&](Array3f& va, Array3f& vb, Array3f& s, Array3f& r,
+                         int a, int b, int aLo) {
+    forInterior(g, [&](Cell c) {
+      const Cell c0 = c.moved(a, aLo);
+      const Cell c1 = c0.moved(a, 1);
+      const Cell c2 = c0.moved(b, 1);
+      const Cell c3 = c1.moved(b, 1);
+      const float m =
+          recip ? 4.0f / (at(g.mui, c0) + at(g.mui, c1) + at(g.mui, c2) +
+                          at(g.mui, c3))
+                : 4.0f / (1.0f / at(g.mu, c0) + 1.0f / at(g.mu, c1) +
+                          1.0f / at(g.mu, c2) + 1.0f / at(g.mu, c3));
+      const float e = addDiffAt(diffAt(va, c, b), vb, c0, a);
+      float inc = dth * m * e;
+      if (atten)
+        inc += attenuateAt(at(r, c), at(g.tauSigma, c), at(g.qsInv, c), inc,
+                           dt);
+      store(s, inc, c);
+    });
+  };
+  shear(g.u, g.v, g.xy, g.rxy, 0, 1, -1);
+  shear(g.u, g.w, g.xz, g.rxz, 0, 2, -1);
+  shear(g.v, g.w, g.yz, g.ryz, 1, 2, 0);
+}
+
+// The row kernels against the scalar reference, bit for bit, on a random
+// medium and random fields: every wavefield and memory variable, halos
+// included. On x86-64 the kernels run their AVX2 clones where the CPU has
+// AVX2 (util/hot.hpp), so this pins the clone to the scalar IEEE
+// operations: a clone that contracted a * b + c into an FMA would fail.
+TEST(Kernels, ClonedRowsMatchTheScalarStencil) {
+  const grid::GridDims dims{20, 18, 14};
+  const DomainGeometry geom = DomainGeometry::single(dims);
+  std::uint32_t seed = 31;
+  const auto uniform = [&seed] {
+    seed = seed * 1664525u + 1013904223u;
+    return static_cast<float>(seed >> 8) * 0x1.0p-24f;  // [0, 1)
+  };
+  mesh::MeshBlock block;
+  block.spec = geom.local;
+  block.points.resize(block.spec.pointCount());
+  for (std::size_t k = 0; k < dims.nz; ++k)
+    for (std::size_t j = 0; j < dims.ny; ++j)
+      for (std::size_t i = 0; i < dims.nx; ++i) {
+        const float vs = 1500.0f + 2000.0f * uniform();
+        block.at(i, j, k) = {(1.6f + 0.4f * uniform()) * vs, vs,
+                             2000.0f + 800.0f * uniform()};
+      }
+
+  KernelOptions plain;
+  plain.useReciprocals = false;
+  KernelOptions recip;
+  KernelOptions unrolled;
+  unrolled.unrolled = true;
+  const std::pair<const char*, KernelOptions> variants[] = {
+      {"plain", plain}, {"reciprocal", recip}, {"unrolled", unrolled}};
+
+  for (const bool atten : {false, true}) {
+    grid::AttenuationConfig ac;
+    ac.enabled = atten;
+    grid::StaggeredGrid base(dims, 100.0, 0.004, ac);
+    base.setMaterial(block);
+    std::vector<std::byte> state = base.saveState();
+    std::vector<float> values(state.size() / sizeof(float));
+    for (float& x : values) x = (uniform() - 0.5f) * 1e-3f;
+    std::memcpy(state.data(), values.data(), state.size());
+    const SpongeLayer sponge(geom, base, 4);
+    const SpongeTaper taper = sponge.taper();
+
+    for (const auto& [name, opts] : variants)
+      for (const bool damped : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << name << " atten=" << atten
+                                          << " damped=" << damped);
+        const SpongeTaper* t = damped ? &taper : nullptr;
+        grid::StaggeredGrid kernel(dims, 100.0, 0.004, ac);
+        grid::StaggeredGrid scalar(dims, 100.0, 0.004, ac);
+        for (auto* g : {&kernel, &scalar}) {
+          g->setMaterial(block);
+          g->restoreState(state);
+        }
+        updateVelocity(kernel, opts);
+        scalarVelocity(scalar);
+        updateStress(kernel, opts, t);
+        scalarStress(scalar, opts.useReciprocals, t);
+        const std::vector<std::byte> a = kernel.saveState();
+        const std::vector<std::byte> b = scalar.saveState();
+        ASSERT_EQ(a.size(), b.size());
+        std::size_t differ = 0;
+        for (std::size_t n = 0; n < a.size(); n += sizeof(float))
+          differ += std::memcmp(&a[n], &b[n], sizeof(float)) != 0;
+        EXPECT_EQ(differ, 0u) << "floats differing from the scalar stencil";
+        EXPECT_NE(a, state) << "the kernels wrote nothing";
+      }
+  }
+}
+
 // The golden case stopped inside its subnormal wavefront transient: in
 // IEEE arithmetic 9, 29 and 7 interior values are subnormal after steps
 // 10, 11 and 12. The step flushes subnormals (util/fp_env.hpp), so no

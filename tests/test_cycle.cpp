@@ -642,21 +642,28 @@ TEST(CycleFabricChaos, CatalogSurvivesABrokerDeathBitIdentically) {
     EXPECT_EQ(row.productDigest.size(), 32u) << row.index;
   }
 
-  // Same catalog with broker 1 fail-stopping at its 8th pump tick, i.e.
-  // with the event ensemble in flight.
+  // Same catalog with the owner of the first event fail-stopping at its
+  // first pump tick with that work in flight (the broker_death consult
+  // counts only such ticks, so the death cannot miss the ensemble).
+  const fabric::HashRing ring(3, 64);
+  const int victim = ring.ownerOf(
+      fabric::HashRing::pointFor(
+          eventSpec(chaos.events().front(), bridgeConfig).hashHex()),
+      0x7u);
   CycleCatalog survived;
   {
     const fs::path root = tempDir("catalog-chaos");
     util::resetRetryRegistry();
     fault::FaultPlan plan;
-    plan.brokerDeath(1, /*occurrence=*/8);
+    plan.brokerDeath(victim, /*occurrence=*/1);
     fault::FaultInjector injector(std::move(plan));
     fault::ScopedInjection scoped(injector);
 
     fabric::HazardFabric fabricChaos(smallFabricConfig(root));
     survived = submitCatalog(fabricChaos, cycleConfig, chaosSummary,
                              chaos.events(), bridgeConfig);
-    EXPECT_EQ(fabricChaos.brokerState(1), fabric::BrokerState::Dead);
+    EXPECT_EQ(fabricChaos.brokerState(victim), fabric::BrokerState::Dead)
+        << "broker " << victim;
     fabricChaos.shutdown();
   }
 

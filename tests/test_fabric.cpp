@@ -639,8 +639,8 @@ TEST(FabricChaos, BrokerDeathMidEnsembleIsBitIdentical) {
     baseline.shutdown();
   }
 
-  // Chaos run: 3 brokers, broker 1 fail-stops at its 8th pump tick
-  // (~30 ms in, with the ensemble in flight).
+  // Chaos run: 3 brokers, broker 1 fail-stops at its 4th pump tick with
+  // local work in flight.
   const fs::path root = tempDir("chaos-run");
   util::resetRetryRegistry();
   FabricConfig config = smallFabricConfig(root, 3);
@@ -648,7 +648,7 @@ TEST(FabricChaos, BrokerDeathMidEnsembleIsBitIdentical) {
   config.heartbeatSeconds = 0.06;
 
   fault::FaultPlan plan;
-  plan.brokerDeath(1, /*occurrence=*/8);
+  plan.brokerDeath(1, /*occurrence=*/4);
   fault::FaultInjector injector(std::move(plan));
   fault::ScopedInjection scoped(injector);
 

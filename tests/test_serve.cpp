@@ -825,8 +825,9 @@ TEST(ServingChaos, BrokerDeathAndPublishDropsConvergeBitIdentically) {
     fabric.shutdown();
   }
 
-  // Chaos run: 3 brokers; broker 1 fail-stops at its 8th pump tick, and
-  // each broker loses a couple of its first window publishes.
+  // Chaos run: 3 brokers; broker 1 fail-stops at its 2nd pump tick with
+  // its scenario in flight, and each broker loses a couple of its first
+  // window publishes.
   const fs::path root = tempDir("serve-chaos-run");
   util::resetRetryRegistry();
   fabric::FabricConfig config;
@@ -839,7 +840,7 @@ TEST(ServingChaos, BrokerDeathAndPublishDropsConvergeBitIdentically) {
   config.serve.windowSamples = 1;
 
   fault::FaultPlan plan;
-  plan.brokerDeath(/*broker=*/1, /*occurrence=*/8);
+  plan.brokerDeath(/*broker=*/1, /*occurrence=*/2);
   for (int origin = 0; origin < 3; ++origin)
     plan.servePublishDrop(origin, /*occurrence=*/1, /*count=*/2);
   fault::FaultInjector injector(std::move(plan));
