@@ -68,8 +68,8 @@ ScenarioResult runWaveScenario(const MiniDomain& domain,
                          static_cast<std::size_t>(site.y / domain.h));
     solver.run(steps);
 
-    auto pgvh = solver.surface().gatherPgvh(comm, topo);
-    auto pgv = solver.surface().gatherPgv(comm, topo);
+    auto pgvh = solver.surface().gatherPgvh(comm);
+    auto pgv = solver.surface().gatherPgv(comm);
     auto traces = solver.receivers().gather(comm);
     if (comm.rank() == 0) {
       result.pgvh = std::move(pgvh);

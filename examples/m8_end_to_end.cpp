@@ -159,7 +159,7 @@ int main() {
           solver.attachSurfaceOutput(out);
 
           solver.run(steps);
-          auto map = solver.surface().gatherPgvh(comm, topo);
+          auto map = solver.surface().gatherPgvh(comm);
           if (comm.rank() == 0) pgvhMap = std::move(map);
         });
     const auto peak = analysis::mapPeak(pgvhMap, dims.nx, dims.ny);

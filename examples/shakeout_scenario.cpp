@@ -56,7 +56,7 @@ RunOutput runScenario(const grid::GridDims& dims, double h,
                          static_cast<std::size_t>(site.x / h),
                          static_cast<std::size_t>(site.y / h));
     solver.run(steps);
-    auto pgvh = solver.surface().gatherPgvh(comm, topo);
+    auto pgvh = solver.surface().gatherPgvh(comm);
     auto traces = solver.receivers().gather(comm);
     if (comm.rank() == 0) {
       out.pgvh = std::move(pgvh);

@@ -161,8 +161,7 @@ void SurfaceMonitor::accumulate(const grid::StaggeredGrid& g) {
 }
 
 std::vector<float> SurfaceMonitor::gatherMap(
-    vcluster::Communicator& comm, const vcluster::CartTopology& topo,
-    const std::vector<float>& local) const {
+    vcluster::Communicator& comm, const std::vector<float>& local) const {
   // Payload: xb, xe, yb, ye, data (empty for non-surface ranks).
   std::vector<std::byte> payload;
   if (active_) {
@@ -175,7 +174,6 @@ std::vector<float> SurfaceMonitor::gatherMap(
   const auto gathered = comm.gatherBytes(0, payload);
   if (comm.rank() != 0) return {};
 
-  (void)topo;
   std::vector<float> map(geom_.global.nx * geom_.global.ny, 0.0f);
   for (const auto& blob : gathered) {
     if (blob.empty()) continue;
@@ -196,13 +194,13 @@ std::vector<float> SurfaceMonitor::gatherMap(
 }
 
 std::vector<float> SurfaceMonitor::gatherPgvh(
-    vcluster::Communicator& comm, const vcluster::CartTopology& topo) const {
-  return gatherMap(comm, topo, pgvh_);
+    vcluster::Communicator& comm) const {
+  return gatherMap(comm, pgvh_);
 }
 
 std::vector<float> SurfaceMonitor::gatherPgv(
-    vcluster::Communicator& comm, const vcluster::CartTopology& topo) const {
-  return gatherMap(comm, topo, pgv_);
+    vcluster::Communicator& comm) const {
+  return gatherMap(comm, pgv_);
 }
 
 }  // namespace awp::core

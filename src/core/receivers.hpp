@@ -10,7 +10,6 @@
 
 #include "core/geometry.hpp"
 #include "grid/staggered_grid.hpp"
-#include "vcluster/cart.hpp"
 #include "vcluster/comm.hpp"
 
 namespace awp::core {
@@ -71,16 +70,15 @@ class SurfaceMonitor {
   // Collective: assemble the global PGVH map (nx-by-ny, row-major, x
   // fastest) on rank 0; other ranks get an empty vector.
   [[nodiscard]] std::vector<float> gatherPgvh(
-      vcluster::Communicator& comm, const vcluster::CartTopology& topo) const;
+      vcluster::Communicator& comm) const;
   // Same for the vertical-included peak |v|.
   [[nodiscard]] std::vector<float> gatherPgv(
-      vcluster::Communicator& comm, const vcluster::CartTopology& topo) const;
+      vcluster::Communicator& comm) const;
 
   [[nodiscard]] bool active() const { return active_; }
 
  private:
   std::vector<float> gatherMap(vcluster::Communicator& comm,
-                               const vcluster::CartTopology& topo,
                                const std::vector<float>& local) const;
 
   DomainGeometry geom_;

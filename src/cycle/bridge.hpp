@@ -30,8 +30,8 @@ struct BridgeConfig {
   int nranks = 2;
   int priority = 5;          // bridged scenarios outrank routine ensembles
   // Fraction of the fault area the nucleation patch may cover; kept well
-  // under the preflight's maxSupercriticalFraction (0.25) so the
-  // accommodated field always clears the gate.
+  // under the rupture preflight's supercritical limit (0.25, health::
+  // RupturePreflightContext) so the accommodated field always clears it.
   double maxNucFraction = 0.1;
   // Strength-band accommodation knobs (normal-stress profile, reload/max
   // fractions, nucExcess). Random-field members are ignored on this path.

@@ -1,9 +1,9 @@
 #include "cycle/catalog.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "telemetry/json.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/md5.hpp"
 
@@ -11,32 +11,11 @@ namespace awp::cycle {
 
 namespace {
 
-// Fixed-width little-endian append helpers (the spec-encoding idiom:
-// doubles hash by IEEE-754 bit pattern, never by formatting).
-void putU64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-void putI32(std::vector<std::byte>& out, std::int32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(
-        static_cast<std::byte>((static_cast<std::uint32_t>(v) >> (8 * i)) &
-                               0xff));
-}
-
-void putF64(std::vector<std::byte>& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  putU64(out, bits);
-}
-
-void putString(std::vector<std::byte>& out, const std::string& s) {
-  putU64(out, s.size());
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  out.insert(out.end(), p, p + s.size());
-}
+using util::putBytes;
+using util::putF64;
+using util::putI32;
+using util::putString;
+using util::putU64;
 
 void putDoubles(std::vector<std::byte>& out, const std::vector<double>& v) {
   putU64(out, v.size());
@@ -51,8 +30,7 @@ constexpr char kCatalogMagic[8] = {'A', 'W', 'P', 'C', 'Y', 'C', 'A', '1'};
 std::vector<std::byte> CycleEvent::canonicalBytes() const {
   std::vector<std::byte> out;
   out.reserve(64 + 24 * nx * nz);
-  const auto* m = reinterpret_cast<const std::byte*>(kEventMagic);
-  out.insert(out.end(), m, m + sizeof(kEventMagic));
+  putBytes(out, kEventMagic, sizeof(kEventMagic));
   putI32(out, index);
   putF64(out, onsetSeconds);
   putF64(out, durationSeconds);
@@ -78,8 +56,7 @@ std::string CycleEvent::computeDigest() const {
 
 std::vector<std::byte> CycleCatalog::canonicalBytes() const {
   std::vector<std::byte> out;
-  const auto* m = reinterpret_cast<const std::byte*>(kCatalogMagic);
-  out.insert(out.end(), m, m + sizeof(kCatalogMagic));
+  putBytes(out, kCatalogMagic, sizeof(kCatalogMagic));
   putU64(out, static_cast<std::uint64_t>(nx));
   putU64(out, static_cast<std::uint64_t>(nz));
   putF64(out, cell);

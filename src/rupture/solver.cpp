@@ -141,19 +141,18 @@ FaultCondition::FaultCondition(core::WaveSolver& solver,
       nodes_.push_back(n);
     }
 
-  if (config_.preflight) {
-    health::RupturePreflightContext pf;
-    pf.muS = config_.friction.muS;
-    pf.muD = config_.friction.muD;
-    pf.dc = config_.friction.dc;
-    pf.dcSurface = config_.friction.dcSurface;
-    pf.cohesion = config_.friction.cohesion;
-    pf.maxSupercriticalFraction = config_.maxSupercriticalFraction;
-    pf.nodes.reserve(nodes_.size());
-    for (const LocalNode& n : nodes_)
-      pf.nodes.push_back({n.gi, n.gk, n.tau0, n.sigmaN, n.depth});
-    health::collectiveRupturePreflight(solver_.comm(), pf);  // throws when Fatal
-  }
+  // Collective input validation: friction parameters physical, initial
+  // shear below static strength outside a bounded nucleation patch.
+  health::RupturePreflightContext pf;
+  pf.muS = config_.friction.muS;
+  pf.muD = config_.friction.muD;
+  pf.dc = config_.friction.dc;
+  pf.dcSurface = config_.friction.dcSurface;
+  pf.cohesion = config_.friction.cohesion;
+  pf.nodes.reserve(nodes_.size());
+  for (const LocalNode& n : nodes_)
+    pf.nodes.push_back({n.gi, n.gk, n.tau0, n.sigmaN, n.depth});
+  health::collectiveRupturePreflight(solver_.comm(), pf);  // throws when Fatal
 }
 
 void FaultCondition::afterVelocity(const grid::StaggeredGrid& g,

@@ -66,12 +66,6 @@ struct RuptureConfig {
 
   double slipRateThreshold = 1.0e-3;  // m/s, rupture-time pick
   int timeDecimation = 1;             // slip-rate history decimation
-
-  // Collective input validation after node binding (health::
-  // collectiveRupturePreflight): friction parameters physical, initial
-  // shear below static strength outside a bounded nucleation patch.
-  bool preflight = true;
-  double maxSupercriticalFraction = 0.25;  // of the global fault area
 };
 
 struct FaultHistory {

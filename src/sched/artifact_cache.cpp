@@ -36,9 +36,8 @@ std::optional<std::vector<std::byte>> readFileBytes(const std::string& path) {
   return bytes;
 }
 
-std::optional<std::vector<std::byte>> ArtifactCache::loadDisk(
-    const std::string& key) {
-  if (directory_.empty()) return std::nullopt;
+std::optional<std::vector<std::byte>> ArtifactCache::loadEntry(
+    const std::string& key) const {
   auto entry = readFileBytes(entryPath(key));
   constexpr std::size_t kDigestBytes = 16;
   if (!entry.has_value() || entry->size() < kDigestBytes) return std::nullopt;
@@ -51,12 +50,11 @@ std::optional<std::vector<std::byte>> ArtifactCache::loadDisk(
   return entry;
 }
 
-void ArtifactCache::storeDisk(const std::string& key,
-                              const std::vector<std::byte>& value) const {
-  if (directory_.empty()) return;
+void ArtifactCache::storeEntry(const std::string& key,
+                               const std::vector<std::byte>& value) const {
   const std::string target = entryPath(key);
-  // Unique tmp name: several caches may share one disk tier (the hazard
-  // fabric points every broker at the same directory), and two brokers
+  // Unique tmp name: several caches may share one directory (the hazard
+  // fabric points every broker at the same one), and two brokers
   // finishing the same digest concurrently must not interleave bytes in
   // one tmp file. The rename stays atomic; last writer wins.
   static std::atomic<std::uint64_t> tmpSeq{0};
@@ -79,45 +77,31 @@ void ArtifactCache::storeDisk(const std::string& key,
 
 std::optional<std::vector<std::byte>> ArtifactCache::get(
     const std::string& key) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = memory_.find(key);
-    if (it != memory_.end()) {
-      ++stats_.hits;
-      ++stats_.memoryHits;
-      return it->second;
-    }
-    ++stats_.memoryMisses;
-  }
-  // Disk probe outside the lock: I/O must not serialize memory hits.
-  auto fromDisk = loadDisk(key);
+  std::optional<std::vector<std::byte>> value;
+  // File I/O runs outside the lock.
+  if (!directory_.empty()) value = loadEntry(key);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!fromDisk.has_value()) {
-    ++stats_.misses;
-    ++stats_.diskMisses;
-    return std::nullopt;
+  if (directory_.empty()) {
+    auto it = memory_.find(key);
+    if (it != memory_.end()) value = it->second;
   }
-  ++stats_.hits;
-  ++stats_.diskLoads;
-  ++stats_.diskHits;
-  memory_[key] = *fromDisk;
-  return fromDisk;
+  if (value.has_value())
+    ++stats_.hits;
+  else
+    ++stats_.misses;
+  return value;
 }
 
 void ArtifactCache::put(const std::string& key, std::vector<std::byte> value) {
-  storeDisk(key, value);
+  if (!directory_.empty()) storeEntry(key, value);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.puts;
-  stats_.logicalBytes += value.size();
-  stats_.storedBytes += value.size();
-  memory_[key] = std::move(value);
+  if (directory_.empty()) memory_[key] = std::move(value);
 }
 
 CacheStats ArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  CacheStats s = stats_;
-  s.entries = memory_.size();
-  return s;
+  return stats_;
 }
 
 }  // namespace awp::sched

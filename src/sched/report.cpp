@@ -16,7 +16,7 @@ std::string toJson(const ServiceReport& report) {
   telemetry::JsonWriter w;
   w.beginObject()
       .field("schema", "awp-sched-service-report")
-      .field("version", 1)
+      .field("version", 2)
       .field("wall_seconds", report.wallSeconds)
       .field("core_budget", report.coreBudget)
       .field("submitted", report.submitted)
@@ -36,22 +36,11 @@ std::string toJson(const ServiceReport& report) {
       .field("mean", report.queueLatencyMean)
       .field("max", report.queueLatencyMax)
       .endObject();
-  const CacheStats& c = report.cache;
   w.key("artifact_cache")
       .beginObject()
-      .field("hits", c.hits)
-      .field("misses", c.misses)
-      .field("computes", c.computes)
-      .field("disk_loads", c.diskLoads)
-      .field("memory_hits", c.memoryHits)
-      .field("memory_misses", c.memoryMisses)
-      .field("disk_hits", c.diskHits)
-      .field("disk_misses", c.diskMisses)
-      .field("puts", c.puts)
-      .field("dedup_hits", c.dedupHits)
-      .field("logical_bytes", c.logicalBytes)
-      .field("stored_bytes", c.storedBytes)
-      .field("entries", c.entries)
+      .field("hits", report.cache.hits)
+      .field("misses", report.cache.misses)
+      .field("puts", report.cache.puts)
       .endObject();
   w.key("retry_sites").beginObject();
   for (const auto& [site, s] : report.retrySites)
@@ -109,12 +98,7 @@ constexpr FieldRule kLatencyFields[] = {
 };
 
 constexpr FieldRule kCacheFields[] = {
-    {"hits", NonNegative}, {"misses", NonNegative}, {"computes", NonNegative},
-    {"disk_loads", NonNegative}, {"memory_hits", NonNegative},
-    {"memory_misses", NonNegative}, {"disk_hits", NonNegative},
-    {"disk_misses", NonNegative}, {"puts", NonNegative},
-    {"dedup_hits", NonNegative}, {"logical_bytes", NonNegative},
-    {"stored_bytes", NonNegative}, {"entries", NonNegative},
+    {"hits", NonNegative}, {"misses", NonNegative}, {"puts", NonNegative},
 };
 
 constexpr FieldRule kRetrySiteFields[] = {
@@ -142,7 +126,7 @@ const FieldRule kJobFields[] = {
 }  // namespace
 
 std::vector<std::string> validateServiceReportJson(const std::string& text) {
-  telemetry::SchemaCheck check(text, "awp-sched-service-report", 1,
+  telemetry::SchemaCheck check(text, "awp-sched-service-report", 2,
                                kReportFields);
   const JsonValue* root = check.root();
   if (root == nullptr) return check.violations();
@@ -170,17 +154,8 @@ std::vector<std::string> validateServiceReportJson(const std::string& text) {
   }
 
   if (const JsonValue* cache =
-          memberOf(*root, "artifact_cache", Kind::Object)) {
+          memberOf(*root, "artifact_cache", Kind::Object))
     check.fields(*cache, "artifact_cache", kCacheFields);
-    // The tiers reconcile with the totals and dedup can only shrink.
-    check.require(n(*cache, "memory_hits") + n(*cache, "disk_hits") <=
-                      n(*cache, "hits") + 0.5,
-                  "artifact_cache: tier hits exceed total hits");
-    check.require(n(*cache, "dedup_hits") <= n(*cache, "puts") + 0.5,
-                  "artifact_cache: dedup_hits exceed puts");
-    check.require(n(*cache, "stored_bytes") <= n(*cache, "logical_bytes") + 0.5,
-                  "artifact_cache: stored_bytes exceed logical_bytes");
-  }
 
   if (const JsonValue* retry = memberOf(*root, "retry_sites", Kind::Object))
     for (const auto& [site, stats] : retry->members) {

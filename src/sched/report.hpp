@@ -68,7 +68,7 @@ struct ServiceReport {
   [[nodiscard]] bool valid() const { return coreBudget > 0; }
 };
 
-// Render as JSON (schema "awp-sched-service-report", version 1).
+// Render as JSON (schema "awp-sched-service-report", version 2).
 std::string toJson(const ServiceReport& report);
 
 // Write toJson(report) to `path` atomically (tmp + rename).

@@ -58,7 +58,7 @@ struct ServiceConfig {
   int respawnBudget = 1;
   // Watchdog debounce: consecutive stalled scans before an episode opens.
   int watchdogMissThreshold = 1;
-  std::string cacheDir;             // "" = in-memory artifact cache only
+  std::string cacheDir;             // artifact cache dir; "" = in memory
   std::string workDir;              // "" = <tmp>/awp-sched
   // Spans and counters go to whichever telemetry session is installed.
   // Slot offset added to every lease base (slot = slotBase + lease base +

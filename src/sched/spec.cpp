@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/md5.hpp"
 
@@ -11,110 +12,21 @@ namespace awp::sched {
 
 namespace {
 
-// Fixed-width little-endian append helpers. Doubles go through their
-// IEEE-754 bit pattern: the encoding hashes the exact value, not a
-// formatting of it.
-void putU64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-void putU32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-void putI32(std::vector<std::byte>& out, std::int32_t v) {
-  putU32(out, static_cast<std::uint32_t>(v));
-}
-
-void putF64(std::vector<std::byte>& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  putU64(out, bits);
-}
-
-void putBytes(std::vector<std::byte>& out, const void* data,
-              std::size_t len) {
-  const auto* p = static_cast<const std::byte*>(data);
-  out.insert(out.end(), p, p + len);
-}
-
-void putString(std::vector<std::byte>& out, const std::string& s) {
-  putU64(out, s.size());
-  putBytes(out, s.data(), s.size());
-}
-
-void putFloats(std::vector<std::byte>& out, const std::vector<float>& v) {
-  putU64(out, v.size());
-  putBytes(out, v.data(), v.size() * sizeof(float));
-}
-
-// Cursor-based readers; every read bounds-checks against the buffer.
-struct Reader {
-  const std::vector<std::byte>& data;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    if (pos + n > data.size())
-      throw Error("sched: truncated product encoding at offset " +
-                  std::to_string(pos));
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const auto n = static_cast<std::size_t>(u64());
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data.data() + pos), n);
-    pos += n;
-    return s;
-  }
-  std::vector<std::byte> bytes(std::size_t n) {
-    need(n);
-    std::vector<std::byte> out(data.begin() + static_cast<std::ptrdiff_t>(pos),
-                               data.begin() +
-                                   static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return out;
-  }
-  std::vector<float> floats() {
-    const auto n = static_cast<std::size_t>(u64());
-    need(n * sizeof(float));
-    std::vector<float> out(n);
-    std::memcpy(out.data(), data.data() + pos, n * sizeof(float));
-    pos += n * sizeof(float);
-    return out;
-  }
-};
+using util::ByteReader;
+using util::putBytes;
+using util::putF64;
+using util::putFloats;
+using util::putI32;
+using util::putString;
+using util::putU32;
+using util::putU64;
 
 constexpr char kSpecMagic[8] = {'A', 'W', 'P', 'S', 'P', 'E', 'C', '1'};
 constexpr char kSpecMagicV2[8] = {'A', 'W', 'P', 'S', 'P', 'E', 'C', '2'};
 constexpr char kProductMagic[8] = {'A', 'W', 'P', 'P', 'R', 'O', 'D', '1'};
 constexpr char kHistoryMagic[8] = {'A', 'W', 'P', 'F', 'H', 'I', 'S', '1'};
 
-void checkMagic(Reader& r, const char (&magic)[8], const char* what) {
+void checkMagic(ByteReader& r, const char (&magic)[8], const char* what) {
   r.need(8);
   if (std::memcmp(r.data.data() + r.pos, magic, 8) != 0)
     throw Error(std::string("sched: bad ") + what + " magic");
@@ -169,7 +81,7 @@ std::string ScenarioSpec::hashHex() const {
 
 ScenarioSpec ScenarioSpec::decodeCanonical(
     const std::vector<std::byte>& data) {
-  Reader r{data};
+  ByteReader r{data};
   r.need(8);
   bool v2 = false;
   if (std::memcmp(r.data.data(), kSpecMagicV2, 8) == 0)
@@ -285,7 +197,7 @@ std::vector<std::byte> ScenarioProducts::serialize() const {
 
 ScenarioProducts ScenarioProducts::deserialize(
     const std::vector<std::byte>& data) {
-  Reader r{data};
+  ByteReader r{data};
   checkMagic(r, kProductMagic, "product");
   ScenarioProducts p;
   p.specHash = r.str();
@@ -335,7 +247,7 @@ std::vector<std::byte> serializeFaultHistory(const rupture::FaultHistory& h) {
 
 rupture::FaultHistory deserializeFaultHistory(
     const std::vector<std::byte>& data) {
-  Reader r{data};
+  ByteReader r{data};
   checkMagic(r, kHistoryMagic, "fault-history");
   rupture::FaultHistory h;
   h.nx = static_cast<std::size_t>(r.u64());

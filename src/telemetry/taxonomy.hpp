@@ -121,7 +121,6 @@ enum class Counter : std::size_t {
   ScenariosRejected,     // admission backpressure rejections
   ScenarioRetries,       // requeues after crash/stall/fatal verdicts
   ScenarioCacheHits,     // completed specs served from the artifact cache
-  ArtifactCacheHits,     // no writer; reads 0 (kept for the report pins)
   RankRespawns,          // in-place rank respawns (recovery ladder rung 2)
   RespawnEscalations,    // respawn ladder fell back to cancel-and-requeue
   BuddyBlobsReplicated,  // checkpoint blobs shipped to the ring buddy
@@ -159,7 +158,7 @@ inline constexpr std::array<std::string_view, kCounterCount>
         "rollbacks",          "dt_tighten_events",  "dt_rewiden_events",
         "observations_rewritten", "spans_dropped",
         "scenarios_submitted", "scenarios_completed", "scenarios_rejected",
-        "scenario_retries",   "scenario_cache_hits", "artifact_cache_hits",
+        "scenario_retries",   "scenario_cache_hits",
         "rank_respawns",      "respawn_escalations",
         "buddy_blobs_replicated", "buddy_restores",
         "fabric_forwards",    "fabric_replays",      "fabric_handoffs",

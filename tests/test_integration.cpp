@@ -160,7 +160,7 @@ TEST_F(IntegrationTest, TwoStepMethodProducesGroundMotion) {
            source::loadSegment((dir_ / "src").string(), comm.rank(), seg))
         solver.addSource(std::move(s));
     solver.run(160);
-    auto map = solver.surface().gatherPgvh(comm, topo);
+    auto map = solver.surface().gatherPgvh(comm);
     if (comm.rank() == 0) pgvh = std::move(map);
   });
 

@@ -244,8 +244,10 @@ TEST(ArtifactCache, DiskTierRoundTripsAndCorruptEntryIsMiss) {
     auto got = reader.get("products:abc");
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, value);
-    EXPECT_EQ(reader.stats().diskLoads, 1u);
     EXPECT_TRUE(reader.get("products:missing") == std::nullopt);
+    EXPECT_EQ(reader.stats().hits, 1u);
+    EXPECT_EQ(reader.stats().misses, 1u);
+    EXPECT_EQ(reader.stats().puts, 0u);
   }
 
   // Flip a byte in the single entry file: the digest check makes the
@@ -260,6 +262,32 @@ TEST(ArtifactCache, DiskTierRoundTripsAndCorruptEntryIsMiss) {
   }
   ArtifactCache verifier(dir.string());
   EXPECT_TRUE(verifier.get("products:abc") == std::nullopt);
+  fs::remove_all(dir);
+}
+
+// A directory cache keeps no copy in memory: every get reads and
+// verifies the entry file, so corrupting it under a live cache turns the
+// next lookup into a miss.
+TEST(ArtifactCache, DirectoryCacheKeepsNoMemoryCopy) {
+  const fs::path dir = tempDir("cache-nocopy");
+  const std::vector<std::byte> value{std::byte{5}, std::byte{6},
+                                     std::byte{7}};
+  ArtifactCache cache(dir.string());
+  cache.put("products:abc", value);
+  ASSERT_TRUE(cache.get("products:abc") == value);
+  EXPECT_EQ(cache.stats().puts, 1u);
+
+  fs::path entry;
+  for (const auto& e : fs::directory_iterator(dir)) entry = e.path();
+  ASSERT_FALSE(entry.empty());
+  {
+    std::fstream f(entry, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(-1, std::ios::end);
+    f.put('\x7f');
+  }
+  EXPECT_TRUE(cache.get("products:abc") == std::nullopt);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   fs::remove_all(dir);
 }
 
@@ -433,7 +461,7 @@ TEST(ServiceReportJson, LiveRetryRegistryLandsInTheServiceReport) {
 // A valid service report written out by hand; each member's value is
 // unique in the text so a mutation row hits exactly the member it names.
 const std::string kBaseServiceReport =
-    "{\"schema\": \"awp-sched-service-report\", \"version\": 1, "
+    "{\"schema\": \"awp-sched-service-report\", \"version\": 2, "
     "\"wall_seconds\": 10.5, \"core_budget\": 4, \"submitted\": 9, "
     "\"completed\": 3, \"failed\": 1, \"rejected\": 1, \"cache_hits\": 2, "
     "\"coalesced\": 1, \"retries\": 4, \"respawns\": 1, "
@@ -441,11 +469,7 @@ const std::string kBaseServiceReport =
     "\"throughput_per_second\": 0.3, "
     "\"queue_latency_seconds\": {\"min\": 0.5, \"mean\": 1.5, "
     "\"max\": 2.5}, "
-    "\"artifact_cache\": {\"hits\": 7, \"misses\": 3, \"computes\": 3, "
-    "\"disk_loads\": 2, \"memory_hits\": 5, \"memory_misses\": 5, "
-    "\"disk_hits\": 2, \"disk_misses\": 3, \"puts\": 8, "
-    "\"dedup_hits\": 4, \"logical_bytes\": 4096, \"stored_bytes\": 1024, "
-    "\"entries\": 6}, "
+    "\"artifact_cache\": {\"hits\": 7, \"misses\": 3, \"puts\": 8}, "
     "\"retry_sites\": {\"io.write\": {\"calls\": 3, \"attempts\": 5, "
     "\"failures\": 2, \"exhausted\": 1}}, "
     "\"jobs\": [{\"name\": \"job-a\", \"kind\": \"wave\", "
@@ -460,9 +484,9 @@ TEST(ServiceReportJson, EveryCheckFlagsItsMutation) {
   std::vector<schema_test::Mutation> rows = {
       {"\"awp-sched-service-report\"", "\"awp-other-report\""},
       {"\"schema\"", "\"schema_absent\""},
-      {"\"version\": 1", "\"version\": 2"},
+      {"\"version\": 2", "\"version\": 1"},
       {"\"version\"", "\"version_absent\""},
-      {"\"version\": 1,", "\"version\": 1,,"},  // not JSON at all
+      {"\"version\": 2,", "\"version\": 2,,"},  // not JSON at all
       {"\"core_budget\": 4", "\"core_budget\": 0"},
       // Every submission has at most one terminal outcome.
       {"\"submitted\": 9", "\"submitted\": 7"},
@@ -473,9 +497,6 @@ TEST(ServiceReportJson, EveryCheckFlagsItsMutation) {
       {"\"mean\": 1.5", "\"mean\": 3.0"},  // mean > max
       {"\"artifact_cache\": {", "\"artifact_cache\": 1, \"x\": {"},
       {"\"artifact_cache\"", "\"artifact_cache_absent\""},
-      {"\"memory_hits\": 5", "\"memory_hits\": 6"},  // tier hits > hits
-      {"\"dedup_hits\": 4", "\"dedup_hits\": 9"},
-      {"\"stored_bytes\": 1024", "\"stored_bytes\": 8192"},
       {"\"retry_sites\": {", "\"retry_sites\": [], \"x\": {"},
       {"\"io.write\": {", "\"io.write\": 3, \"x\": {"},
       {"\"attempts\": 5", "\"attempts\": 2"},  // attempts < calls
@@ -509,17 +530,14 @@ TEST(ServiceReportJson, EveryCheckFlagsItsMutation) {
       {"coalesced", "1"}, {"retries", "4"}, {"respawns", "1"},
       {"respawn_escalations", "1"}, {"executed_attempts", "6"},
       {"throughput_per_second", "0.3"}, {"min", "0.5"}, {"mean", "1.5"},
-      {"max", "2.5"}, {"hits", "7"}, {"misses", "3"}, {"computes", "3"},
-      {"disk_loads", "2"}, {"memory_hits", "5"}, {"memory_misses", "5"},
-      {"disk_hits", "2"}, {"disk_misses", "3"}, {"dedup_hits", "4"},
-      {"logical_bytes", "4096"}, {"stored_bytes", "1024"},
-      {"entries", "6"}, {"calls", "3"}, {"attempts", "5"},
+      {"max", "2.5"}, {"hits", "7"}, {"misses", "3"}, {"calls", "3"},
+      {"attempts", "5"},
       {"failures", "2"}, {"exhausted", "1"}, {"attempts", "3"},
       {"retries", "2"}, {"respawns", "2"}, {"completed_steps", "120"},
       {"queue_seconds", "0.75"}, {"run_seconds", "4.25"}};
   for (const auto& [key, value] : nonNegative)
     addNumberRows(rows, key, value, true);
-  // Tier accounting, retry-site stats and hex job hashes are required.
+  // Cache accounting, retry-site stats and hex job hashes are required.
   rows.push_back({"\"retry_sites\"", "\"retry_sites_absent\""});
   rows.push_back({"\"hash\": \"0123456789abcdef",
                   "\"hash\": \"0123456789abcdeX"});
@@ -551,7 +569,7 @@ TEST(ServiceReportJson, EmittedContentIsPinned) {
   report.queueLatencyMin = 0.1;
   report.queueLatencyMean = 1.0 / 3.0;
   report.queueLatencyMax = 2.7;
-  report.cache = {10, 5, 5, 3, 7, 8, 3, 5, 12, 4, 65536, 40960, 9};
+  report.cache = {10, 5, 12};
   report.retrySites["io.write"] = {3, 5, 2, 1};
   report.retrySites["fabric.forward \"quoted\""] = {1, 1, 0, 0};
   JobRow row;
@@ -579,7 +597,7 @@ TEST(ServiceReportJson, EmittedContentIsPinned) {
   EXPECT_TRUE(validateServiceReportJson(text).empty());
   EXPECT_NE(text.find("9007199254740993"), std::string::npos);
   EXPECT_EQ(schema_test::canonicalDigest(text),
-            "c52eeff38b9fa2cf663618a65d228204");
+            "ca15642d21022cf51c73c0c2ba0041f8");
 }
 
 // ---------------------------------------------------------------------------

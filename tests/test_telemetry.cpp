@@ -624,7 +624,7 @@ TEST(ReportSchema, TelemetryReportContentIsPinned) {
   EXPECT_TRUE(validateReportJson(text).empty());
   EXPECT_NE(text.find("9007199254740993"), std::string::npos);
   EXPECT_EQ(schema_test::canonicalDigest(text),
-            "5a01e543596aee58222aa73789f97d44");
+            "31cfa9d1aeb8df57dcfa682d06614309");
 }
 
 // --- solver integration ----------------------------------------------------

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/array3.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/fft.hpp"
 #include "util/filter.hpp"
@@ -136,6 +137,36 @@ TEST(Retry, RegistryAggregatesPerSite) {
   EXPECT_EQ(site.attempts, 4u);
   EXPECT_EQ(site.failures, 3u);
   EXPECT_EQ(site.exhausted, 1u);
+}
+
+TEST(Bytes, RoundTripsAndRejectsLengthsPastTheEnd) {
+  std::vector<std::byte> out;
+  util::putU64(out, 0x0102030405060708ULL);
+  util::putI32(out, -7);
+  util::putF64(out, -0.1);
+  util::putString(out, "abc");
+  util::putFloats(out, {1.5f, -2.0f});
+  ASSERT_EQ(out.front(), std::byte{0x08});  // little-endian
+  util::ByteReader r{out};
+  EXPECT_EQ(r.u64(), 0x0102030405060708ULL);
+  EXPECT_EQ(r.i32(), -7);
+  EXPECT_EQ(r.f64(), -0.1);
+  EXPECT_EQ(r.str(), "abc");
+  EXPECT_EQ(r.floats(), (std::vector<float>{1.5f, -2.0f}));
+  EXPECT_EQ(r.pos, out.size());
+  EXPECT_THROW((void)r.u32(), Error);
+
+  // Encoded lengths whose byte counts would wrap a 64-bit offset are
+  // truncation errors, not huge reads.
+  for (const std::uint64_t length : {~0ULL, 1ULL << 62}) {
+    std::vector<std::byte> bad;
+    util::putU64(bad, length);
+    util::putU64(bad, 0);
+    util::ByteReader s{bad};
+    EXPECT_THROW((void)s.str(), Error);
+    s.pos = 0;
+    EXPECT_THROW((void)s.floats(), Error);
+  }
 }
 
 TEST(Array3, IndexingIsXFastest) {
